@@ -255,7 +255,8 @@ def _cmd_frechet(args) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sqpeg", description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="random seed (generators)")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for the solver")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; the solver runs on one thread")
     parser.add_argument("--tol", type=float, default=None,
                         help="context tolerance (cusp angle for analyze, residual for find)")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")

@@ -8,10 +8,7 @@ of the quadrilateral (cyclic shifts and reversal).
 
 from __future__ import annotations
 
-import itertools
-import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,6 +31,13 @@ __all__ = [
 
 _SEED_KEEP_QUANTILE = 25.0  # percentile of the residual prefilter
 _ARC_KAPPA_TOL = 1e-6
+# largest accepted grid_m: seeding holds all C(grid_m, 4) tuples and their
+# residuals at once, and refinement probes a quarter of them 8 at a time
+_MAX_GRID_M = 64
+# the 8 relabelings of a quadrilateral: 4 cyclic shifts, then the same of its
+# reversal; row r of params[..., _RELABEL] is image r
+_RELABEL = np.array([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2],
+                     [3, 2, 1, 0], [2, 1, 0, 3], [1, 0, 3, 2], [0, 3, 2, 1]])
 
 
 @dataclass
@@ -63,6 +67,8 @@ class SolverConfig:
         )
         if cfg.grid_m < 8:
             raise ValueError("grid_m must be at least 8")
+        if cfg.grid_m > _MAX_GRID_M:
+            raise ValueError(f"grid_m must be at most {_MAX_GRID_M} (memory grows as grid_m^4)")
         for name in ("max_iter", "residual_tol", "dedup_tol", "gap_min", "min_side", "fd_step"):
             if getattr(cfg, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -155,6 +161,19 @@ def _norms(res, mean_side) -> np.ndarray:
 # seeding
 # ---------------------------------------------------------------------------
 
+def _combinations4(m: int) -> np.ndarray:
+    """All sorted 4-subsets of range(m), (C(m, 4), 4), in lexicographic
+    order (the order of itertools.combinations)."""
+    combos = np.arange(m)[:, None]
+    for _ in range(3):
+        counts = m - 1 - combos[:, -1]
+        starts = np.cumsum(counts) - counts
+        offsets = np.arange(int(np.sum(counts))) - np.repeat(starts, counts)
+        nxt = np.repeat(combos[:, -1] + 1, counts) + offsets
+        combos = np.column_stack([np.repeat(combos, counts, axis=0), nxt])
+    return combos
+
+
 def seed_grid(curve: PolyCurve, config: Optional[SolverConfig] = None) -> np.ndarray:
     """Cyclically ordered 4-tuples on a grid_m-point equispaced arclength grid.
 
@@ -166,7 +185,7 @@ def seed_grid(curve: PolyCurve, config: Optional[SolverConfig] = None) -> np.nda
     m = cfg.grid_m
     L = curve.length
     grid = np.arange(m) * (L / m)
-    combos = np.array(list(itertools.combinations(range(m), 4)), dtype=int)
+    combos = _combinations4(m)
     params = grid[combos]
 
     gaps = np.diff(np.column_stack([params, params[:, :1] + L]), axis=1)
@@ -188,7 +207,14 @@ def seed_grid(curve: PolyCurve, config: Optional[SolverConfig] = None) -> np.nda
 
 def _cyclic_gaps(params, L) -> np.ndarray:
     t = np.mod(params, L)
-    return np.mod(np.roll(t, -1) - t, L)
+    return np.mod(np.roll(t, -1, axis=-1) - t, L)
+
+
+def _winds_once(gaps, L) -> np.ndarray:
+    """Rows of cyclic gaps with no zero gap that sum to L (math.isclose at
+    rel_tol 1e-9): the tuple goes around the curve exactly once."""
+    total = np.sum(gaps, axis=-1)
+    return np.all(gaps != 0.0, axis=-1) & (np.abs(total - L) <= 1e-9 * np.maximum(np.abs(total), L))
 
 
 def refine(curve: PolyCurve, seed, config: Optional[SolverConfig] = None):
@@ -201,71 +227,16 @@ def refine(curve: PolyCurve, seed, config: Optional[SolverConfig] = None):
     smoothing step keeps damping stable across edge crossings.
     """
     cfg = (config or SolverConfig()).resolved(curve)
-    L = curve.length
-    t = np.mod(np.asarray(seed, dtype=float), L)
-
-    res, ms = _eval_batch(curve, t)
-    res = res[0]
-    norm = float(_norms(res[None, :], ms)[0])
-    lam = 1e-3
-    h = cfg.fd_step
-    target = 0.1 * cfg.residual_tol
-
-    for _ in range(cfg.max_iter):
-        if norm <= target:
-            break
-        probe = np.repeat(t[None, :], 8, axis=0)
-        for i in range(4):
-            probe[2 * i, i] += h
-            probe[2 * i + 1, i] -= h
-        pres, _ = _eval_batch(curve, probe)
-        jac = np.empty((4, 4))
-        for i in range(4):
-            jac[:, i] = (pres[2 * i] - pres[2 * i + 1]) / (2.0 * h)
-
-        jtj = jac.T @ jac
-        g = jac.T @ res
-        diag = np.diag(np.maximum(np.diag(jtj), 1e-30))
-        accepted = False
-        for _trial in range(10):
-            try:
-                delta = np.linalg.solve(jtj + lam * diag, -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            t_new = np.mod(t + delta, L)
-            res_new, ms_new = _eval_batch(curve, t_new)
-            norm_new = float(_norms(res_new, ms_new)[0])
-            if norm_new < norm:
-                t, res, norm = t_new, res_new[0], norm_new
-                lam = max(lam / 3.0, 1e-12)
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
-            break
-        if float(np.max(np.abs(delta))) < 1e-15 * L:
-            break
-
-    if norm > cfg.residual_tol:
-        return None, "diverged"
-    gaps = _cyclic_gaps(t, L)
-    if np.any(gaps == 0.0) or not math.isclose(float(np.sum(gaps)), L, rel_tol=1e-9):
-        return None, "ordering_broken"
-    if float(np.min(gaps)) < cfg.gap_min:
-        return None, "collapsed"
-    _, mean_side = _eval_batch(curve, t)
-    if float(mean_side[0]) < cfg.min_side:
-        return None, "small_side"
-    return np.sort(np.mod(t, L)), "converged"
+    return _refine_batch(curve, np.asarray(seed, dtype=float).reshape(1, 4), cfg)[0]
 
 
 def _refine_batch(curve: PolyCurve, seeds: np.ndarray, cfg: SolverConfig) -> list:
-    """Vectorized refinement of many seeds at once.
+    """Refinement of many seeds at once, one (params, reason) pair per seed
+    as refine() describes.
 
-    Runs the same damped least-squares update as refine() for every seed in
-    lock step (per-seed damping, acceptance, and stopping), so results match
-    the per-seed path; it only amortizes the array overhead.
+    Every seed runs its own damped least-squares update (per-seed damping,
+    acceptance and stopping) in lock step with the others; batching only
+    amortizes the array overhead.
     """
     K = seeds.shape[0]
     if K == 0:
@@ -329,6 +300,7 @@ def _refine_batch(curve: PolyCurve, seeds: np.ndarray, cfg: SolverConfig) -> lis
                 rows = idx[acc]
                 t[rows] = t_new[improved]
                 res[rows] = res_new[improved]
+                ms[rows] = ms_new[improved]
                 norm[rows] = norm_new[improved]
                 lam[rows] = np.maximum(lam[rows] / 3.0, 1e-12)
                 accepted_step[acc] = np.max(np.abs(delta[improved]), axis=1)
@@ -340,80 +312,60 @@ def _refine_batch(curve: PolyCurve, seeds: np.ndarray, cfg: SolverConfig) -> lis
         stalled = pending | (accepted_step < 1e-15 * L)
         active[idx[stalled]] = False
 
-    out = []
-    for k in range(K):
-        if norm[k] > cfg.residual_tol:
-            out.append((None, "diverged"))
-            continue
-        tk = t[k]
-        gaps = _cyclic_gaps(tk, L)
-        if np.any(gaps == 0.0) or not math.isclose(float(np.sum(gaps)), L, rel_tol=1e-9):
-            out.append((None, "ordering_broken"))
-        elif float(np.min(gaps)) < cfg.gap_min:
-            out.append((None, "collapsed"))
-        elif float(_eval_batch(curve, tk)[1][0]) < cfg.min_side:
-            out.append((None, "small_side"))
-        else:
-            out.append((np.sort(np.mod(tk, L)), "converged"))
-    return out
+    gaps = _cyclic_gaps(t, L)
+    reasons = np.select(
+        [norm > cfg.residual_tol, ~_winds_once(gaps, L),
+         np.min(gaps, axis=1) < cfg.gap_min, ms < cfg.min_side],
+        ["diverged", "ordering_broken", "collapsed", "small_side"], "converged")
+    params = np.sort(np.mod(t, L), axis=1)
+    return [(p if r == "converged" else None, str(r)) for p, r in zip(params, reasons)]
 
 
 # ---------------------------------------------------------------------------
 # symmetry dedup and grid canonicalization
 # ---------------------------------------------------------------------------
 
-def _symmetry_images(t: np.ndarray) -> list:
-    rev = t[::-1]
-    return [np.roll(t, -r) for r in range(4)] + [np.roll(rev, -r) for r in range(4)]
-
-def _circ_dist(a, b, L) -> np.ndarray:
-    d = np.mod(a - b, L)
-    return np.minimum(d, L - d)
+def _image_distances(cands: np.ndarray, b: np.ndarray, L: float) -> np.ndarray:
+    """symmetry_distance(a, b, L) for every row a of cands (k, 4)."""
+    d = np.mod(cands[:, None, :] - b[_RELABEL], L)
+    return np.min(np.max(np.minimum(d, L - d), axis=2), axis=1)
 
 
 def symmetry_distance(a, b, L: float) -> float:
     """min over the 8 relabeling images of the max cyclic parameter distance."""
-    a = np.asarray(a, dtype=float)
-    best = math.inf
-    for img in _symmetry_images(np.asarray(b, dtype=float)):
-        d = float(np.max(_circ_dist(a, img, L)))
-        if d < best:
-            best = d
-    return best
+    a = np.asarray(a, dtype=float).reshape(1, 4)
+    return float(_image_distances(a, np.asarray(b, dtype=float), L)[0])
+
+
+def _greedy_classes(cands: np.ndarray, L: float, tol: float) -> list:
+    """Row indices of the class representatives of cands (k, 4): in row
+    order, a row becomes a representative unless an earlier representative
+    lies within tol of it under symmetry_distance."""
+    left = np.arange(cands.shape[0])
+    reps = []
+    while left.size:
+        i = int(left[0])
+        reps.append(i)
+        left = left[_image_distances(cands[left], cands[i], L) >= tol]
+    return reps
 
 
 def _snap_to_grid(curve: PolyCurve, params: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    """Replace a solution by its grid-rounded tuple when that tuple is itself
-    a valid solution.  On solution continua (e.g. every square of a circle)
-    this pins the reported representatives to grid-aligned members, keeping
-    output stable across reruns and resolutions; isolated solutions reject
-    the rounded tuple through the residual test and pass through unchanged."""
+    """Replace each solution of params (k, 4) by its grid-rounded tuple when
+    that tuple is itself a valid solution.  On solution continua (e.g. every
+    square of a circle) this pins the reported representatives to
+    grid-aligned members, keeping output stable across reruns and
+    resolutions; isolated solutions reject the rounded tuple through the
+    residual test and pass through unchanged."""
     L = curve.length
     g = L / cfg.grid_m
-    snapped = np.sort(np.mod(np.round(params / g) * g, L))
-    if np.any(np.diff(snapped) == 0.0):
-        return params
+    snapped = np.sort(np.mod(np.round(params / g) * g, L), axis=1)
     gaps = _cyclic_gaps(snapped, L)
-    if float(np.min(gaps)) < cfg.gap_min or not math.isclose(float(np.sum(gaps)), L, rel_tol=1e-9):
-        return params
-    res, ms = _eval_batch(curve, snapped)
-    if float(ms[0]) < cfg.min_side:
-        return params
-    if float(_norms(res, ms)[0]) > cfg.residual_tol:
-        return params
-    return snapped
-
-
-def _dedup(cands: list, L: float, tol: float) -> list:
-    """Greedy dedup in (t1, t2, t3, t4) sort order; first member represents
-    each class under the symmetry-reduced metric."""
-    cands = sorted(cands, key=lambda c: tuple(c[0]))
-    reps = []
-    for params, norm in cands:
-        if any(symmetry_distance(params, rp, L) < tol for rp, _ in reps):
-            continue
-        reps.append((params, norm))
-    return reps
+    ok = _winds_once(gaps, L) & (np.min(gaps, axis=1) >= cfg.gap_min)
+    if np.any(ok):
+        res, ms = _eval_batch(curve, snapped[ok])
+        ok[ok] = (ms >= cfg.min_side) & (_norms(res, ms) <= cfg.residual_tol)
+    return np.where(ok[:, None], snapped, params)
 
 
 # ---------------------------------------------------------------------------
@@ -441,17 +393,13 @@ def _attach(curve: PolyCurve, params: np.ndarray) -> QuadSolution:
     )
 
 
-def _detect_non_generic(reps, L, tol) -> bool:
+def _detect_non_generic(reps: np.ndarray, L, tol) -> bool:
     """A long chain of classes packed at the dedup resolution signals a
     solution continuum (circles), where counting is not meaningful."""
     if len(reps) < 4:
         return False
-    dists = [
-        symmetry_distance(reps[i][0], reps[j][0], L)
-        for i in range(len(reps))
-        for j in range(i + 1, len(reps))
-    ]
-    return min(dists) <= 2.0 * tol
+    return any(np.min(_image_distances(reps[:j], reps[j], L)) <= 2.0 * tol
+               for j in range(1, len(reps)))
 
 
 def _parity_text(count: int, non_generic: bool) -> str:
@@ -476,7 +424,8 @@ def find_quads(curve: PolyCurve, config: Optional[SolverConfig] = None,
     """Full search: seed, refine, validate, snap, deduplicate, annotate.
 
     The curve must be closed; a warning (not an error) is issued when it is
-    not embedded, since the search itself needs no embeddedness.
+    not embedded, since the search itself needs no embeddedness.  threads is
+    accepted for compatibility; the search runs on one thread.
     """
     if not curve.closed:
         raise ValueError("find_quads requires a closed curve")
@@ -484,25 +433,14 @@ def find_quads(curve: PolyCurve, config: Optional[SolverConfig] = None,
     if not curve.is_embedded(0.0):
         warnings.warn("curve is not embedded; results are best-effort")
 
-    seeds = seed_grid(curve, cfg)
-    if threads > 1 and len(seeds) > 0:
-        chunks = np.array_split(seeds, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda ch: _refine_batch(curve, ch, cfg), chunks))
-        outcomes = [o for part in parts for o in part]
-    else:
-        outcomes = _refine_batch(curve, np.asarray(seeds, dtype=float).reshape(-1, 4), cfg)
+    outcomes = _refine_batch(curve, seed_grid(curve, cfg), cfg)
+    accepted = np.array([p for p, reason in outcomes if reason == "converged"]).reshape(-1, 4)
+    accepted = _snap_to_grid(curve, accepted, cfg)
 
-    accepted = []
-    for params, reason in outcomes:
-        if reason != "converged":
-            continue
-        snapped = _snap_to_grid(curve, params, cfg)
-        res, ms = _eval_batch(curve, snapped)
-        accepted.append((snapped, float(_norms(res, ms)[0])))
-
-    reps = _dedup(accepted, curve.length, cfg.dedup_tol)
-    solutions = [_attach(curve, params) for params, _ in reps]
+    # greedy classes in (t1, t2, t3, t4) order; the first member represents each
+    accepted = accepted[np.lexsort(accepted.T[::-1])]
+    reps = accepted[_greedy_classes(accepted, curve.length, cfg.dedup_tol)]
+    solutions = [_attach(curve, params) for params in reps]
     non_generic = _detect_non_generic(reps, curve.length, cfg.dedup_tol)
     note = _parity_text(len(solutions), non_generic)
     return SolutionSet(
@@ -541,7 +479,7 @@ def brute_force_oracle(curve: PolyCurve, m: int = 24, tol: float = 0.3,
     grid = np.arange(m) * (L / m)
     pts = curve.point_at(grid)
 
-    combos = np.array(list(itertools.combinations(range(m), 4)), dtype=int)
+    combos = _combinations4(m)
     res, mean_side = _residuals_of_points(pts[combos])
     norms = _norms(res, mean_side)
     norms = np.where(mean_side >= cfg.min_side, norms, np.inf)
@@ -560,20 +498,17 @@ def brute_force_oracle(curve: PolyCurve, m: int = 24, tol: float = 0.3,
 
     mask = (core <= tol) & (core <= neighbor_min)
     hits = np.argwhere(mask)
-    cands = [(grid[h], float(core[tuple(h)])) for h in hits]
-    cands = [(p, nv) for p, nv in cands if float(np.min(_cyclic_gaps(p, L))) >= cfg.gap_min]
+    cands, norms = grid[hits], core[mask]
+    keep = np.min(_cyclic_gaps(cands, L), axis=1) >= cfg.gap_min
+    cands, norms = cands[keep], norms[keep]
 
     # cluster plateau ties under the same symmetry-reduced metric,
     # keeping the lowest-residual member of each cluster
-    cands.sort(key=lambda c: (c[1], tuple(c[0])))
-    reps = []
-    for params, norm in cands:
-        if any(symmetry_distance(params, rp, L) < cfg.dedup_tol for rp, _ in reps):
-            continue
-        reps.append((params, norm))
-    reps.sort(key=lambda c: tuple(c[0]))
+    cands = cands[np.lexsort((*cands.T[::-1], norms))]
+    reps = cands[_greedy_classes(cands, L, cfg.dedup_tol)]
+    reps = reps[np.lexsort(reps.T[::-1])]
 
-    solutions = [_attach(curve, params) for params, _ in reps]
+    solutions = [_attach(curve, params) for params in reps]
     non_generic = _detect_non_generic(reps, L, cfg.dedup_tol)
     return SolutionSet(
         solutions=solutions,

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,18 @@ def test_find_open_curve_rejected(tmp_path, capsys):
         "dimension": 2, "closed": False, "vertices": [[0, 0], [1, 0], [1, 1]],
     }))
     assert run(["find", str(src)]) == 1
+
+
+def test_find_rejects_huge_grid_before_allocating(circle_file, capsys):
+    tracemalloc.start()
+    try:
+        code = run(["find", circle_file, "--grid-m", "10000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "grid_m must be at most 64" in capsys.readouterr().err
+    assert peak < 1 << 20
 
 
 def test_find_empty_solution_exit_code(tmp_path, circle_file):

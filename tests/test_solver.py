@@ -1,14 +1,19 @@
 """Tests for the inscribed-quadrilateral search."""
 
+import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from sqpeg import solver
 from sqpeg.curve import PolyCurve
 from sqpeg.generators import (
     make_circle,
     make_ellipse,
+    make_fourier_curve,
     make_random_jordan,
     make_trefoil,
     make_unit_square,
@@ -48,6 +53,12 @@ def test_seed_grid_combinatorial_count():
     c = make_circle(1.0, 90)
     seeds = seed_grid(c, SolverConfig(grid_m=8))
     assert 0 < len(seeds) <= math.comb(8, 4)
+
+
+def test_seed_combinations_match_itertools():
+    for m in (4, 5, 8, 13, 24):
+        expected = np.array(list(itertools.combinations(range(m), 4)))
+        assert np.array_equal(solver._combinations4(m), expected)
 
 
 def test_seed_grid_gap_min_filter():
@@ -190,6 +201,105 @@ def test_find_quads_deterministic_and_thread_invariant():
             assert np.array_equal(s.params, t.params)
 
 
+# Scalar reference of the post-refinement stage: each converged tuple is
+# snapped on its own, then the greedy dedup compares it with every earlier
+# representative through the 8 relabelings.  Python's float % rounds as
+# np.mod does, so the distances carry the same bits as the solver's.
+
+def _ref_snap(curve, params, cfg):
+    L = curve.length
+    g = L / cfg.grid_m
+    snapped = np.sort(np.mod(np.round(params / g) * g, L))
+    if np.any(np.diff(snapped) == 0.0):
+        return params
+    gaps = np.mod(np.roll(snapped, -1) - snapped, L)
+    if float(np.min(gaps)) < cfg.gap_min or not math.isclose(float(np.sum(gaps)), L,
+                                                             rel_tol=1e-9):
+        return params
+    res, ms = solver._eval_batch(curve, snapped)
+    if float(ms[0]) < cfg.min_side or float(solver._norms(res, ms)[0]) > cfg.residual_tol:
+        return params
+    return snapped
+
+
+def _ref_symmetry_distance(a, b, L):
+    a, b = [float(x) for x in a], [float(x) for x in b]
+    rev = b[::-1]
+    images = [b[r:] + b[:r] for r in range(4)] + [rev[r:] + rev[:r] for r in range(4)]
+    return min(max(min((x - y) % L, L - (x - y) % L) for x, y in zip(a, img))
+               for img in images)
+
+
+def _ref_dedup(cands, L, tol, key=tuple):
+    reps = []
+    for params in sorted(cands, key=key):
+        if not any(_ref_symmetry_distance(params, rp, L) < tol for rp in reps):
+            reps.append(params)
+    return reps
+
+
+def _ref_non_generic(reps, L, tol):
+    if len(reps) < 4:
+        return False
+    return min(_ref_symmetry_distance(a, b, L)
+               for i, a in enumerate(reps) for b in reps[i + 1:]) <= 2.0 * tol
+
+
+_FOURIER3D = ([[1, 0, 0.2], [0, 0.3, 0], [0, 0, 0.4]], [[0, 0.3, 0], [1, 0, 0.2], [0, 0.5, 0]])
+
+
+def test_post_refinement_matches_scalar_reference(corpus, monkeypatch):
+    outcomes = []
+
+    def recording(curve, seeds, cfg):
+        outcomes.append(real(curve, seeds, cfg))
+        return outcomes[-1]
+
+    real = solver._refine_batch
+    monkeypatch.setattr(solver, "_refine_batch", recording)
+    curves = dict(corpus)
+    curves["fourier3d"] = make_fourier_curve(*_FOURIER3D, samples=256)
+    curves["jordan3"] = make_random_jordan(96, seed=3)
+    curves["jordan8"] = make_random_jordan(96, seed=8, amplitude=1.0, harmonics=6)
+    for name, curve in curves.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sol = find_quads(curve)
+        cfg = SolverConfig().resolved(curve)
+        L = curve.length
+        accepted = [_ref_snap(curve, p, cfg) for p, r in outcomes[-1] if r == "converged"]
+        reps = _ref_dedup(accepted, L, cfg.dedup_tol)
+        non_generic = _ref_non_generic(reps, L, cfg.dedup_tol)
+        assert sol.raw_count == len(accepted), name
+        assert sol.non_generic == non_generic, name
+        assert sol.parity_note == solver._parity_text(len(reps), non_generic), name
+        assert len(sol.solutions) == len(reps), name
+        for s, rp in zip(sol.solutions, reps):
+            assert np.array_equal(s.params, rp), name
+
+
+def test_greedy_classes_break_ties_at_exactly_tol():
+    # on L = 8 every distance below is a multiple of 1/4, exact in binary.
+    # b and a + 0.5 lie exactly tol from a, so a does not cover them; a + 0.25
+    # and the reversal of a + 0.25 lie within tol of a, and a + 0.75 within
+    # tol of a + 0.5
+    L, tol = 8.0, 0.5
+    a = np.array([0.0, 2.0, 4.0, 6.0])
+    b = np.array([0.0, 2.5, 4.0, 6.0])
+    cands = np.array([a + 0.75, a + 0.25, a, (a + 0.25)[::-1], a + 1.0, b, a + 0.5])
+    order = np.lexsort(cands.T[::-1])
+    reps = cands[order][solver._greedy_classes(cands[order], L, tol)]
+    expected = _ref_dedup(list(cands), L, tol)
+    assert np.array_equal(reps, [a, b, a + 0.5, a + 1.0])
+    assert np.array_equal(reps, expected)
+    assert solver._detect_non_generic(reps, L, tol) is _ref_non_generic(expected, L, tol) is True
+    # four classes exactly 2 * tol apart pairwise still count as packed
+    chain = np.array([a, a + 1.0, [0.0, 1.0, 4.0, 5.0], [1.0, 2.0, 5.0, 6.0]])
+    assert solver._detect_non_generic(chain, L, tol) is _ref_non_generic(chain, L, tol) is True
+    for x, y in itertools.product(cands, repeat=2):
+        assert symmetry_distance(x, y, L) == _ref_symmetry_distance(x, y, L)
+
+
 def test_warns_on_non_embedded_curve():
     fig8 = PolyCurve([[0, 0], [1, 1], [1, 0], [0, 1]], closed=True)
     with pytest.warns(UserWarning, match="not embedded"):
@@ -218,6 +328,18 @@ def test_config_validation():
         find_quads(c, SolverConfig(grid_m=4))
     with pytest.raises(ValueError, match="positive"):
         find_quads(c, SolverConfig(residual_tol=-1.0))
+
+
+def test_grid_m_above_memory_bound_fails_before_allocating():
+    c = make_circle(1.0, 60)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"grid_m must be at most {solver._MAX_GRID_M}"):
+            find_quads(c, SolverConfig(grid_m=10_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
