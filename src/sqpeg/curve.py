@@ -156,17 +156,21 @@ class PolyCurve:
             pts[exact] = self.vertices[idx[exact]]
         return pts[0] if scalar else pts
 
-    def arc_length(self, a: float, b: float) -> float:
-        """Length of the directed arc from a forward to b (wrapping if closed)."""
+    def arc_length(self, a, b):
+        """Length of the directed arc from a forward to b (wrapping if closed).
+
+        Accepts scalars or arrays of parameters, like point_at.
+        """
+        scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+        a = self.normalize_param(a)
+        b = self.normalize_param(b)
         if self.closed:
-            a = float(np.mod(a, self.length))
-            b = float(np.mod(b, self.length))
-            return float(np.mod(b - a, self.length))
-        a = float(self.normalize_param(a))
-        b = float(self.normalize_param(b))
-        if b < a:
+            span = np.mod(b - a, self.length)
+        elif np.any(b < a):
             raise ValueError("on an open curve the arc must run forward (a <= b)")
-        return b - a
+        else:
+            span = b - a
+        return float(span) if scalar else span
 
     # -- curvature -------------------------------------------------------
 
@@ -210,41 +214,37 @@ class PolyCurve:
         _, ang = self._atoms
         return float(np.sum(ang))
 
-    def _atom_mass_between(self, x: float, y: float) -> float:
+    def _atom_mass_between(self, x, y):
         """Mass of atoms with position strictly inside (x, y), 0 <= x <= y <= L."""
         pos, _ = self._atoms
         prefix = self._atom_prefix
         lo = np.searchsorted(pos, x, side="right")
         hi = np.searchsorted(pos, y, side="left")
-        if hi <= lo:
-            return 0.0
-        return float(prefix[hi] - prefix[lo])
+        return np.where(hi > lo, prefix[hi] - prefix[lo], 0.0)
 
-    def subarc_curvature(self, a: float, b: float) -> float:
+    def subarc_curvature(self, a, b):
         """Curvature mass of the open directed arc (a, b).
 
         Only atoms strictly interior to the arc contribute; a parameter that
-        lands exactly on a vertex excludes that vertex's atom.
+        lands exactly on a vertex excludes that vertex's atom.  Accepts
+        scalars or arrays of parameters, like point_at.
         """
+        scalar = np.ndim(a) == 0 and np.ndim(b) == 0
         if self.closed:
-            a = float(np.mod(a, self.length))
-            span = float(np.mod(b - a, self.length))
-            if span == 0.0:
-                return 0.0
-            b = a + span
-            if b <= self.length:
-                return self._atom_mass_between(a, b)
-            total = self._atom_mass_between(a, self.length)
-            # the seam vertex sits at position 0 == L
-            pos, ang = self._atoms
-            if pos[0] == 0.0 and b - self.length > 0.0:
-                total += float(ang[0])
-            return total + self._atom_mass_between(0.0, b - self.length)
-        a = float(self.normalize_param(a))
-        b = float(self.normalize_param(b))
-        if b < a:
-            raise ValueError("on an open curve the arc must run forward (a <= b)")
-        return self._atom_mass_between(a, b)
+            a = np.mod(a, self.length)
+            end = a + np.mod(b - a, self.length)
+            # past L the arc crosses the seam vertex, whose atom sits at 0 == L
+            _, ang = self._atoms
+            wrapped = (self._atom_mass_between(a, self.length) + ang[0]) \
+                + self._atom_mass_between(0.0, end - self.length)
+            mass = np.where(end > self.length, wrapped, self._atom_mass_between(a, end))
+        else:
+            a = self.normalize_param(a)
+            b = self.normalize_param(b)
+            if np.any(b < a):
+                raise ValueError("on an open curve the arc must run forward (a <= b)")
+            mass = self._atom_mass_between(a, b)
+        return float(mass) if scalar else mass
 
     def detect_cusps(self, tol: float):
         """Vertex indices whose turning angle is within tol of a full reversal."""

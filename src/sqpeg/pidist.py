@@ -28,6 +28,10 @@ __all__ = [
 ]
 
 _PI_SLACK = 5e-13
+# samples per edge on the step grid: a capped run compares every a-grid
+# point with every b-grid point; at 2048 per edge one run peaks near 240 MB
+# (chords, their difference vectors and masks), at 4096 near 960 MB
+_MAX_EDGE_SAMPLES = 2048
 
 
 @dataclass(frozen=True)
@@ -95,6 +99,13 @@ class _RunScanner:
     def __init__(self, curve: PolyCurve, step: float):
         if step <= 0.0:
             raise ValueError("step must be positive")
+        longest = float(np.max(curve._edge_lens))
+        samples = math.ceil(longest / step)
+        if samples > _MAX_EDGE_SAMPLES:
+            raise ValueError(
+                f"step {step:.6g} puts {samples} samples on the longest edge; at most "
+                f"{_MAX_EDGE_SAMPLES} are allowed, so step must be at least "
+                f"{longest / _MAX_EDGE_SAMPLES:.6g}")
         self.curve = curve
         self.step = step
         self.L = curve.length

@@ -1,6 +1,7 @@
 """Session fixtures shared by the acceptance suite."""
 
 import pytest
+from hypothesis import settings
 
 from sqpeg.curve import PolyCurve
 from sqpeg.generators import (
@@ -13,6 +14,12 @@ from sqpeg.generators import (
 from sqpeg.solver import find_quads
 
 SCALENE_TRIANGLE = [[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]]
+
+# property tests run the same small example set on every run: no clock
+# deadline on a shared host, no example database written into the tree
+settings.register_profile("sqpeg", derandomize=True, deadline=None, max_examples=40,
+                          database=None)
+settings.load_profile("sqpeg")
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from helpers import point_to_polyline_distance, random_cusp_free_polygon
+from helpers import point_to_polyline_distance, random_cusp_free_polygon, random_rotation
+from sqpeg import approx
 from sqpeg.approx import (
     Arc,
     SmoothedCurve,
@@ -20,6 +24,8 @@ from sqpeg.generators import (
     make_circle,
     make_diagonal,
     make_ellipse,
+    make_random_jordan,
+    make_regular_polygon,
     make_stairstep,
     make_unit_square,
 )
@@ -44,6 +50,97 @@ def recursive_frechet_oracle(P, Q):
         return max(min(rec(i - 1, j), rec(i, j - 1), rec(i - 1, j - 1)), d)
 
     return rec(len(P) - 1, len(Q) - 1)
+
+
+def _dfd_rows(dist) -> float:
+    """The Eiter-Mannila recurrence in Python floats, one row at a time."""
+    rows = dist.tolist()
+    k = len(rows[0])
+    prev = rows[0][:]
+    for j in range(1, k):
+        prev[j] = max(prev[j - 1], prev[j])
+    for i in range(1, len(rows)):
+        row = rows[i]
+        cur = [0.0] * k
+        cur[0] = max(prev[0], row[0])
+        for j in range(1, k):
+            best = prev[j]
+            if prev[j - 1] < best:
+                best = prev[j - 1]
+            if cur[j - 1] < best:
+                best = cur[j - 1]
+            cur[j] = best if best > row[j] else row[j]
+        prev = cur
+    return float(prev[-1])
+
+
+def frechet_reference(a, b) -> float:
+    """discrete_frechet as a loop over every cyclic shift of the smaller
+    closed sequence, each shift by the row recurrence."""
+    pa, pb = a.vertices, b.vertices
+    if a.closed and pa.shape[0] < pb.shape[0]:
+        pa, pb = pb, pa
+    diff = pa[:, None, :] - pb[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    if not a.closed:
+        return _dfd_rows(dist)
+    return min(_dfd_rows(np.roll(dist, -s, axis=1)) for s in range(pb.shape[0]))
+
+
+def _atom_mass_reference(curve, x, y):
+    pos, _ = curve._atoms
+    lo = np.searchsorted(pos, x, side="right")
+    hi = np.searchsorted(pos, y, side="left")
+    return 0.0 if hi <= lo else float(curve._atom_prefix[hi] - curve._atom_prefix[lo])
+
+
+def arc_length_reference(curve, a, b):
+    """The scalar PolyCurve.arc_length the array version replaced."""
+    if curve.closed:
+        a = float(np.mod(a, curve.length))
+        b = float(np.mod(b, curve.length))
+        return float(np.mod(b - a, curve.length))
+    return b - a
+
+
+def subarc_curvature_reference(curve, a, b):
+    """The scalar PolyCurve.subarc_curvature the array version replaced."""
+    if not curve.closed:
+        return _atom_mass_reference(curve, a, b)
+    L = curve.length
+    a = float(np.mod(a, L))
+    span = float(np.mod(b - a, L))
+    if span == 0.0:
+        return 0.0
+    b = a + span
+    if b <= L:
+        return _atom_mass_reference(curve, a, b)
+    total = _atom_mass_reference(curve, a, L)
+    pos, ang = curve._atoms
+    if pos[0] == 0.0 and b - L > 0.0:
+        total += float(ang[0])
+    return total + _atom_mass_reference(curve, 0.0, b - L)
+
+
+def convergence_errors_reference(target, approximant, depth):
+    """(length_err, curvature_err) of convergence_report by a double loop
+    over the dyadic pairs with the scalar arc measures."""
+    lt, la = target.length, approximant.length
+    denom = 2 ** depth
+    fracs = np.arange(denom + 1) / denom
+    length_err = curvature_err = 0.0
+    for j in range(denom):
+        for k in range(j + 1, denom + 1):
+            if target.closed and k - j == denom:
+                continue
+            f1, f2 = fracs[j], fracs[k]
+            dlen = abs(arc_length_reference(target, f1 * lt, f2 * lt)
+                       - arc_length_reference(approximant, f1 * la, f2 * la))
+            dkap = abs(subarc_curvature_reference(target, f1 * lt, f2 * lt)
+                       - subarc_curvature_reference(approximant, f1 * la, f2 * la))
+            length_err = max(length_err, dlen)
+            curvature_err = max(curvature_err, dkap)
+    return length_err, curvature_err
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +367,120 @@ def test_frechet_rejects_mixed_topology():
         discrete_frechet(make_unit_square(), make_diagonal(4))
 
 
+def _random_closed(rng, n, dim):
+    return PolyCurve(rng.standard_normal((n, dim)), closed=True)
+
+
+# shifts per sweep: the default, one (the bound test before every shift),
+# and a size that leaves a short last sweep
+_SWEEPS = [16, 1, 5]
+
+
+@pytest.mark.parametrize("batch", _SWEEPS)
+def test_frechet_closed_matches_shift_loop(monkeypatch, batch):
+    monkeypatch.setattr(approx, "_SHIFT_BATCH", batch)
+    rng = np.random.default_rng(61)
+    for trial in range(24):
+        dim = 2 + trial % 2
+        n, m = (int(x) for x in rng.integers(3, 30, 2))
+        a, b = _random_closed(rng, n, dim), _random_closed(rng, m, dim)
+        for x, y in ((a, b), (b, a)):
+            assert discrete_frechet(x, y) == frechet_reference(x, y)
+
+
+@pytest.mark.parametrize("batch", _SWEEPS)
+def test_frechet_closed_ties_match_shift_loop(monkeypatch, batch):
+    monkeypatch.setattr(approx, "_SHIFT_BATCH", batch)
+    hexa = make_regular_polygon(12)
+    turned = PolyCurve(np.roll(hexa.vertices, 5, axis=0), closed=True)
+    angle = 2 * math.pi / 24
+    rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+    half_turned = PolyCurve(hexa.vertices @ rot.T, closed=True)
+    pairs = [(hexa, turned), (hexa, half_turned), (hexa, make_regular_polygon(12, 2.0)),
+             (make_circle(1.0, 40), make_circle(1.5, 40)),
+             (make_circle(1.0, 36), make_circle(0.5, 20))]
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            assert discrete_frechet(x, y) == frechet_reference(x, y)
+    assert discrete_frechet(hexa, turned) == 0.0
+
+
+def _count_shifts(monkeypatch):
+    """Record the size of every batch of shifts the kernel sweeps."""
+    visited = []
+    kernel = approx._coupling_values
+
+    def counting(table, m, shifts):
+        visited.append(shifts.size)
+        return kernel(table, m, shifts)
+
+    monkeypatch.setattr(approx, "_coupling_values", counting)
+    return visited
+
+
+def test_frechet_pruning_visiting_most_shifts_matches_shift_loop(monkeypatch):
+    # both ends of the larger sequence sit at the centre of a circle of
+    # radius 1/2, so every shift's bound is about 1/2, below the optimum
+    t = np.linspace(0.0, 2 * math.pi, 40, endpoint=False)
+    ring = np.column_stack([np.cos(t), np.sin(t)])
+    ring[0], ring[-1] = (0.0, 0.0), (1e-3, 0.0)
+    a, b = PolyCurve(ring, closed=True), make_circle(0.5, 24)
+    visited = _count_shifts(monkeypatch)
+    for x, y in ((a, b), (b, a)):
+        visited.clear()
+        assert discrete_frechet(x, y) == frechet_reference(x, y)
+        assert sum(visited) == b.num_vertices
+
+
+def test_frechet_prunes_shifts_and_stays_exact(monkeypatch):
+    a = make_ellipse(2.0, 1.0, 96)
+    b = PolyCurve(make_random_jordan(48, seed=43).vertices @ random_rotation(
+        2, np.random.default_rng(2)).T, closed=True)
+    visited = _count_shifts(monkeypatch)
+    assert discrete_frechet(a, b) == frechet_reference(a, b)
+    assert sum(visited) < b.num_vertices
+
+
+def test_frechet_open_matches_row_recurrence():
+    rng = np.random.default_rng(67)
+    for trial in range(30):
+        dim = 2 + trial % 2
+        n, m = (int(x) for x in rng.integers(2, 30, 2))
+        a = PolyCurve(rng.standard_normal((n, dim)), closed=False)
+        b = PolyCurve(rng.standard_normal((m, dim)), closed=False)
+        for x, y in ((a, b), (b, a)):
+            assert discrete_frechet(x, y) == frechet_reference(x, y)
+
+
+def test_frechet_closed_against_recursive_oracle_over_shifts():
+    rng = np.random.default_rng(71)
+    for _ in range(5):
+        a = _random_closed(rng, int(rng.integers(8, 15)), 2)
+        b = _random_closed(rng, int(rng.integers(3, 8)), 2)
+        oracle = min(recursive_frechet_oracle(a.vertices, np.roll(b.vertices, -s, axis=0))
+                     for s in range(b.num_vertices))
+        assert math.isclose(discrete_frechet(a, b), oracle, rel_tol=0.0, abs_tol=1e-12)
+
+
+def _closed_vertices(dim):
+    return st.integers(3, 12).flatmap(lambda n: arrays(
+        np.float64, (n, dim), elements=st.floats(-4.0, 4.0, allow_nan=False, width=64)))
+
+
+@given(st.sampled_from([2, 3]).flatmap(lambda d: st.tuples(_closed_vertices(d),
+                                                           _closed_vertices(d))))
+def test_frechet_closed_property_equals_reference(pair):
+    curves = []
+    for v in pair:
+        assume(np.all(np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=1) > 1e-9))
+        curves.append(PolyCurve(v, closed=True))
+    a, b = curves
+    d = discrete_frechet(a, b)
+    assert d == frechet_reference(a, b)
+    if a.num_vertices != b.num_vertices:
+        assert discrete_frechet(b, a) == d
+
+
 # ---------------------------------------------------------------------------
 # length bound
 # ---------------------------------------------------------------------------
@@ -327,3 +538,65 @@ def test_convergence_position_error_matches_sagitta():
         rep = convergence_report(target, inscribe_polygon(target, n), dyadic_depth=3)
         sagitta = 1.0 - math.cos(math.pi / n)
         assert abs(rep.position_err - sagitta) <= 0.1 * sagitta
+
+
+def _convergence_cases():
+    ellipse = make_ellipse(2, 1, 128)
+    square = make_unit_square()
+    rng = np.random.default_rng(73)
+    open_a = PolyCurve(rng.standard_normal((9, 3)), closed=False)
+    open_b = PolyCurve(rng.standard_normal((5, 3)), closed=False)
+    return {
+        "ellipse-filleted": (ellipse, fillet_smooth(inscribe_polygon(ellipse, 16), 0.05)
+                             .sample(0.05)),
+        # dyadic fractions k/8 of L = 4 land exactly on the square's vertices
+        "square-octagon": (square, inscribe_polygon(square, 8)),
+        "square-rolled": (square, PolyCurve(np.roll(square.vertices, 1, axis=0), closed=True)),
+        # at L = 3.6, a + (L - a) rounds above L for a = 0.4375 L: the arc
+        # to L then crosses the seam and takes in the atom of vertex 0
+        "square-seam-rounding": (PolyCurve(0.9 * square.vertices, closed=True), square),
+        "open-3d": (open_a, open_b),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_convergence_cases()))
+def test_convergence_errors_match_scalar_loop(name):
+    target, approximant = _convergence_cases()[name]
+    if target.closed:
+        # the seam vertex sits at position 0, where the wrap adds its atom
+        assert target._atoms[0][0] == 0.0 and approximant._atoms[0][0] == 0.0
+    for depth in range(1, 8):
+        rep = convergence_report(target, approximant, dyadic_depth=depth)
+        assert (rep.length_err, rep.curvature_err) == \
+            convergence_errors_reference(target, approximant, depth), depth
+
+
+@pytest.mark.parametrize("name", sorted(_convergence_cases()))
+def test_arc_methods_on_arrays_equal_scalar_reference_per_pair(name):
+    j, k = np.triu_indices(17, 1)
+    f1, f2 = j / 16, k / 16
+    for curve in _convergence_cases()[name]:
+        a, b = f1 * curve.length, f2 * curve.length
+        assert curve.arc_length(a, b).tolist() == \
+            [arc_length_reference(curve, x, y) for x, y in zip(a, b)]
+        assert curve.subarc_curvature(a, b).tolist() == \
+            [subarc_curvature_reference(curve, x, y) for x, y in zip(a, b)]
+        assert curve.subarc_curvature(a[7], b[7]) == subarc_curvature_reference(curve, a[7], b[7])
+        assert isinstance(curve.arc_length(a[7], b[7]), float)
+
+
+def test_convergence_errors_match_scalar_loop_at_depth_8():
+    target, approximant = _convergence_cases()["ellipse-filleted"]
+    rep = convergence_report(target, approximant, dyadic_depth=8)
+    assert (rep.length_err, rep.curvature_err) == \
+        convergence_errors_reference(target, approximant, 8)
+
+
+def test_convergence_errors_same_when_pairs_split_into_blocks(monkeypatch):
+    target, approximant = _convergence_cases()["ellipse-filleted"]
+    whole = convergence_report(target, approximant, dyadic_depth=5)
+    # 33 nodes: 3 rows of j per block, 11 blocks
+    monkeypatch.setattr(approx, "_PAIR_BLOCK", 100)
+    assert convergence_report(target, approximant, dyadic_depth=5) == whole
+    assert (whole.length_err, whole.curvature_err) == \
+        convergence_errors_reference(target, approximant, 5)

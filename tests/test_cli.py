@@ -170,6 +170,24 @@ def test_find_rejects_huge_grid_before_allocating(circle_file, capsys):
     assert peak < 1 << 20
 
 
+def test_analyze_rejects_tiny_step_before_allocating(tmp_path, capsys):
+    src = tmp_path / "square.json"
+    src.write_text(json.dumps({
+        "dimension": 2, "closed": True,
+        "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]],
+    }))
+    tracemalloc.start()
+    try:
+        code = run(["analyze", str(src), "--step", "1e-9"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "at most 2048 are allowed, so step must be at least 0.000488281" in err
+    assert peak < 1 << 20
+
+
 def test_find_empty_solution_exit_code(tmp_path, circle_file):
     out = tmp_path / "sol.json"
     # an unreachable residual tolerance forces an empty set

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sqpeg.curve import PolyCurve
-from sqpeg.generators import make_circle, make_ellipse, make_unit_square
+from sqpeg.generators import make_circle, make_ellipse, make_regular_polygon, make_unit_square
 from sqpeg.pidist import (
     PiDistanceResult,
     pi_distance,
@@ -127,6 +127,19 @@ def test_capped_monotone_in_cap():
         res = pi_distance(curve, mode="capped", cap=cap, step=step)
         values.append(math.inf if res.value is None else res.value)
     assert all(v2 <= v1 + 1e-12 for v1, v2 in zip(values, values[1:]))
+
+
+def test_step_grid_bounded_per_edge():
+    sq = make_unit_square()
+    for call in (lambda: pi_distance(sq, mode="literal", step=1e-6),
+                 lambda: pi_distance(sq, mode="capped", step=1e-6),
+                 lambda: scan_windows(sq, cap=2.0, step=1e-6)):
+        with pytest.raises(ValueError, match="at most 2048 are allowed"):
+            call()
+    # the heptagon at L/11520 puts about 1650 samples on each edge; the
+    # tiny cap leaves no feasible run, so no grid is built
+    hept = make_regular_polygon(7)
+    assert scan_windows(hept, cap=1e-3, step=hept.length / 11520) == []
 
 
 def test_pi_distance_deterministic():
