@@ -284,7 +284,9 @@ def _build_parser() -> _Parser:
     ana = sub.add_parser("analyze", help="length, curvature, cusps, pi-distance")
     ana.add_argument("curve")
     ana.add_argument("--cap", type=float, default=None, help="arclength cap (default L/2)")
-    ana.add_argument("--step", type=float, default=None, help="scan resolution (default L/720)")
+    ana.add_argument("--step", type=float, default=None,
+                     help="wrap margin of the pi-distances on closed curves (subarcs "
+                          "up to L - step), reported as resolution (default L/720)")
     ana.add_argument("--clearance", type=float, default=0.0)
     ana.add_argument("--windows-csv", default=None,
                      help="also write the minimal curvature windows as CSV")

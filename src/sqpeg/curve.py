@@ -33,7 +33,8 @@ def angle_between(u, v) -> float:
 def segment_to_segments_distance(p0, p1, q0, q1):
     """Minimum distances between segment (p0,p1) and a batch of segments.
 
-    p0, p1: (n,) endpoints of a single segment.
+    p0, p1: (n,) endpoints of a single segment, or (k, n) endpoints of k
+    segments paired row by row with the batch.
     q0, q1: (k, n) endpoints of k segments.
     Returns (dist, s, t): distances and the clamped parameters of the
     closest points, p0 + s*(p1-p0) and q0 + t*(q1-q0).  Segments must have
@@ -47,10 +48,15 @@ def segment_to_segments_distance(p0, p1, q0, q1):
     d1 = p1 - p0
     d2 = q1 - q0
     r = p0 - q0
-    a = float(np.dot(d1, d1))
+    if d1.ndim == 1:
+        # matrix-vector products, whose rounding is_embedded and the
+        # generators' rejection sampling have always seen
+        a = float(np.dot(d1, d1))
+        b = d2 @ d1
+        c = r @ d1
+    else:
+        a, b, c = (np.einsum("ij,ij->i", x, d1) for x in (d1, d2, r))
     e = np.einsum("ij,ij->i", d2, d2)
-    b = d2 @ d1
-    c = r @ d1
     f = np.einsum("ij,ij->i", d2, r)
 
     denom = a * e - b * b
@@ -231,13 +237,16 @@ class PolyCurve:
         """
         scalar = np.ndim(a) == 0 and np.ndim(b) == 0
         if self.closed:
-            a = np.mod(a, self.length)
-            end = a + np.mod(b - a, self.length)
-            # past L the arc crosses the seam vertex, whose atom sits at 0 == L
+            L = self.length
+            a = np.mod(a, L)
+            b = np.mod(b, L)
+            # an arc that ends before it starts crosses the seam vertex, whose
+            # atom sits at 0 == L; an arc that ends on it (b == 0) leaves it out
+            wraps = b < a
             _, ang = self._atoms
-            wrapped = (self._atom_mass_between(a, self.length) + ang[0]) \
-                + self._atom_mass_between(0.0, end - self.length)
-            mass = np.where(end > self.length, wrapped, self._atom_mass_between(a, end))
+            head = self._atom_mass_between(a, np.where(wraps, L, b))
+            seam = np.where(b > 0.0, ang[0], 0.0)
+            mass = np.where(wraps, (head + seam) + self._atom_mass_between(0.0, b), head)
         else:
             a = self.normalize_param(a)
             b = self.normalize_param(b)

@@ -6,6 +6,13 @@ Two modes are provided.  The literal definition degenerates on closed curves
 so a length-capped variant is offered as a diagnostic; the capped value is
 NOT a valid lower bound on inscribed-quadrilateral side lengths and is
 labeled as such wherever it is reported.
+
+Both values are exact.  The subarcs with a given set of interior corners
+have their endpoints on two edges, and the least chord between two segments
+under one linear arclength limit has a closed form, so every run of corners
+costs O(1) memory and nothing is sampled.  `step` is kept for the wrap
+margin of closed curves (subarcs up to L - step long) and is reported as
+the result's `resolution`.
 """
 
 from __future__ import annotations
@@ -28,9 +35,10 @@ __all__ = [
 ]
 
 _PI_SLACK = 5e-13
-# samples per edge on the step grid: a capped run compares every a-grid
-# point with every b-grid point; at 2048 per edge one run peaks near 240 MB
-# (chords, their difference vectors and masks), at 4096 near 960 MB
+# input validation only: `step` sets the wrap margin and the reported
+# resolution, and a step under 1/2048 of the longest edge is refused with a
+# message naming the smallest allowed step, so that `analyze --step` keeps
+# one documented range of accepted values
 _MAX_EDGE_SAMPLES = 2048
 
 
@@ -64,8 +72,10 @@ class PiDistanceResult:
     """Outcome of a pi-distance scan.
 
     value is None when no subarc reaches turning pi ("unbounded" in the
-    serialized form).  The witness window attains (or approaches, up to the
-    sampling resolution) the reported infimum.
+    serialized form).  The witness window attains the reported infimum, up
+    to an inward nudge of 1e-9 edge lengths for an endpoint that falls on a
+    boundary corner.  resolution is the step: the wrap margin on closed
+    curves.
     """
 
     value: Optional[float]
@@ -88,26 +98,76 @@ class PiDistanceResult:
         }
 
 
+def _check_step(curve: PolyCurve, step: float) -> None:
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    longest = float(np.max(curve._edge_lens))
+    samples = math.ceil(longest / step)
+    if samples > _MAX_EDGE_SAMPLES:
+        raise ValueError(
+            f"step {step:.6g} puts {samples} samples on the longest edge; at most "
+            f"{_MAX_EDGE_SAMPLES} are allowed, so step must be at least "
+            f"{longest / _MAX_EDGE_SAMPLES:.6g}")
+
+
+def _rowdot(x, y):
+    return np.einsum("ij,ij->i", x, y)
+
+
+def _capped_chord_min(va0, va1, a_lo, a_hi, vb0, vb1, b_lo, b_hi, cap):
+    """Exact minimum of |P(s) - Q(t)| over s, t in [0, 1] subject to
+    b(t) - a(s) <= cap.
+
+    P runs along an a-edge from va0 to va1 while its raw parameter a runs
+    from a_lo to a_hi; Q and b likewise along a b-edge.  One a-edge (va0 of
+    shape (n,)) meets a batch of b-edges, or a batch of a-edges meets the
+    b-edges row by row.  Returns (chord, a_raw, b_raw), chord inf where even
+    b_lo - a_hi exceeds the cap.
+
+    The squared chord is a convex quadratic in (s, t).  If the unconstrained
+    segment-to-segment optimum breaks the cap, the segment from it to any
+    feasible point crosses the line b - a = cap without rising, so the
+    minimum lies on that line: there the squared chord is a convex quadratic
+    in s alone, minimized over the s-interval that keeps t in [0, 1].
+    Parallel edges, whose minimizers form a segment, need no special case.
+    """
+    a_len = a_hi - a_lo
+    b_len = b_hi - b_lo
+    chord, s, t = segment_to_segments_distance(va0, va1, vb0, vb1)
+    over = np.flatnonzero((b_lo + t * b_len) - (a_lo + s * a_len) > cap)
+    if over.size:
+        # only the rows that break the cap; a single a-edge serves every row
+        p0, p1 = (np.broadcast_to(v, vb0.shape)[over] for v in (va0, va1))
+        lo, ln = (np.broadcast_to(x, chord.shape)[over] for x in (a_lo, a_len))
+        q0, q1, bl, bn = vb0[over], vb1[over], b_lo[over], b_len[over]
+        d1 = p1 - p0
+        d2 = q1 - q0
+        # on the line, t = t0 + rho * s
+        rho = ln / bn
+        t0 = (lo + cap - bl) / bn
+        g = d1 - rho[:, None] * d2
+        r0 = (p0 - q0) - t0[:, None] * d2
+        gg = _rowdot(g, g)
+        so = np.divide(-_rowdot(r0, g), gg, out=np.zeros_like(gg), where=gg > 0.0)
+        so = np.clip(so, np.maximum(-t0 / rho, 0.0), np.minimum((1.0 - t0) / rho, 1.0))
+        to = np.clip(t0 + rho * so, 0.0, 1.0)
+        gap = (p0 + so[:, None] * d1) - (q0 + to[:, None] * d2)
+        s[over], t[over], chord[over] = so, to, np.sqrt(_rowdot(gap, gap))
+    chord = np.where(b_lo - a_hi > cap, np.inf, chord)
+    return chord, a_lo + s * a_len, b_lo + t * b_len
+
+
 class _RunScanner:
     """Enumeration helper over contiguous corner runs of a PolyCurve.
 
     A run (i, k) is the cyclic range of corners i..k; any window whose
     endpoints lie on the run's two boundary edges has exactly those corners
     in its interior, hence curvature mass equal to the run's turning sum.
+    Every method takes corner ordinals as integers or integer arrays.
     """
 
-    def __init__(self, curve: PolyCurve, step: float):
-        if step <= 0.0:
-            raise ValueError("step must be positive")
-        longest = float(np.max(curve._edge_lens))
-        samples = math.ceil(longest / step)
-        if samples > _MAX_EDGE_SAMPLES:
-            raise ValueError(
-                f"step {step:.6g} puts {samples} samples on the longest edge; at most "
-                f"{_MAX_EDGE_SAMPLES} are allowed, so step must be at least "
-                f"{longest / _MAX_EDGE_SAMPLES:.6g}")
+    def __init__(self, curve: PolyCurve):
         self.curve = curve
-        self.step = step
         self.L = curve.length
         pos, ang = curve._atoms
         self.n = len(pos)
@@ -120,114 +180,67 @@ class _RunScanner:
             ang_ext = ang
         self.prefix = np.concatenate(([0.0], np.cumsum(ang_ext)))
         self.pos = pos
-        # corner ordinal -> vertex index
-        self.vshift = 0 if self.closed else 1
-        self.nv = curve.num_vertices
+        # boundary edges as (lo, hi, v0, v1) in raw parameters: the edge
+        # entering each corner i, and the edge leaving each (extended) k
+        verts, lens, nv = curve.vertices, curve._edge_lens, curve.num_vertices
+        vi = (np.arange(self.n) + (0 if self.closed else 1)) % nv
+        prev = (vi - 1) % nv
+        self._a = (pos - lens[prev], pos, verts[prev], verts[vi])
+        vk = np.arange(len(self.pos_ext)) % nv if self.closed else vi
+        self._b = (self.pos_ext, self.pos_ext + lens[vk], verts[vk], verts[(vk + 1) % nv])
 
-    def vertex_index(self, ordinal: int) -> int:
-        return (ordinal + self.vshift) % self.nv
+    def _limit(self, i):
+        return i + self.n - 1 if self.closed else self.n - 1
 
-    def run_sum(self, i: int, k: int) -> float:
-        return float(self.prefix[k + 1] - self.prefix[i])
-
-    def k_first(self, i: int) -> int:
+    def k_first(self, i):
         """Smallest k >= i whose run sum reaches pi, or -1."""
         target = self.prefix[i] + math.pi - _PI_SLACK
-        j = int(np.searchsorted(self.prefix, target, side="left"))
-        k = j - 1
-        limit = i + self.n - 1 if self.closed else self.n - 1
-        if k < i or k > limit:
-            return -1
-        return k
+        k = np.searchsorted(self.prefix, target, side="left") - 1
+        return np.where((k < i) | (k > self._limit(i)), -1, k)
 
-    def k_last_under_cap(self, i: int, cap: float) -> int:
+    def k_last_under_cap(self, i, cap: float):
         """Largest k with minimal window arclength within the cap."""
-        j = int(np.searchsorted(self.pos_ext, self.pos[i] + cap, side="right")) - 1
-        limit = i + self.n - 1 if self.closed else self.n - 1
-        return min(j, limit)
+        j = np.searchsorted(self.pos_ext, self.pos[i] + cap, side="right") - 1
+        return np.minimum(j, self._limit(i))
 
     # -- geometry of a run's boundary edges --------------------------------
 
-    def a_edge(self, i: int):
-        """(a_lo, a_hi, v0, v1): raw param interval and endpoints of the
-        edge entering corner i.  a may equal a_lo (that vertex atom is then
-        excluded, which is outside the run anyway) but must stay < a_hi."""
-        vi = self.vertex_index(i)
-        prev = (vi - 1) % self.nv
-        elen = self.curve._edge_lens[prev]
-        a_hi = self.pos[i]
-        return a_hi - elen, a_hi, self.curve.vertices[prev], self.curve.vertices[vi]
+    def a_edge(self, i):
+        """(a_lo, a_hi, v0, v1) of the edge entering corner i.  a may equal
+        a_lo (that vertex atom is then excluded, which is outside the run
+        anyway) but must stay < a_hi."""
+        return tuple(x[i] for x in self._a)
 
-    def b_edge(self, k: int):
-        """(b_lo, b_hi, v0, v1) for the edge leaving corner k (raw params)."""
-        vk = self.vertex_index(k % self.n if self.closed else k)
-        elen = self.curve._edge_lens[vk]
-        b_lo = self.pos_ext[k]
-        return b_lo, b_lo + elen, self.curve.vertices[vk], self.curve.vertices[(vk + 1) % self.nv]
+    def b_edge(self, k):
+        """(b_lo, b_hi, v0, v1) of the edge leaving corner k; b must stay
+        > b_lo.  k may also be a slice."""
+        return tuple(x[k] for x in self._b)
 
-    def _grid(self, lo: float, hi: float, include_lo: bool, include_hi: bool):
-        """Global multiples of step inside (lo, hi), plus requested endpoints."""
-        step = self.step
-        first = math.floor(lo / step) + 1
-        last = math.floor(hi / step)
-        vals = np.arange(first, last + 1, dtype=float) * step
-        vals = vals[(vals > lo) & (vals < hi)]
-        parts = [vals]
-        if include_lo:
-            parts.insert(0, np.array([lo]))
-        if include_hi:
-            parts.append(np.array([hi]))
-        return np.concatenate(parts)
-
-    def best_for_run(self, i: int, k: int, cap: float):
-        """Minimum-chord candidate (chord, a_raw, b_raw) for run (i, k),
-        subject to window arclength <= cap, or None if infeasible."""
+    def chord_min(self, i, k, cap: float):
+        """(chord, a_raw, b_raw) of the runs (i, k) under the cap, chord inf
+        where a run is infeasible; i is one corner or pairs with k row by row."""
         a_lo, a_hi, va0, va1 = self.a_edge(i)
         b_lo, b_hi, vb0, vb1 = self.b_edge(k)
-        if b_lo - a_hi > cap:
-            return None
-        if b_hi - a_lo <= cap:
-            dist, s, t = segment_to_segments_distance(va0, va1, vb0[None, :], vb1[None, :])
-            a_raw = a_lo + float(s[0]) * (a_hi - a_lo)
-            b_raw = b_lo + float(t[0]) * (b_hi - b_lo)
-            return float(dist[0]), a_raw, b_raw
-        a_grid = self._grid(a_lo, a_hi, include_lo=True, include_hi=False)
-        b_grid = self._grid(b_lo, b_hi, include_lo=False, include_hi=True)
-        arclen = b_grid[None, :] - a_grid[:, None]
-        ok = arclen <= cap
-        if not np.any(ok):
-            return None
-        fa = (a_grid - a_lo) / (a_hi - a_lo)
-        fb = (b_grid - b_lo) / (b_hi - b_lo)
-        pa = va0 + fa[:, None] * (va1 - va0)
-        pb = vb0 + fb[:, None] * (vb1 - vb0)
-        chords = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
-        chords = np.where(ok, chords, np.inf)
-        flat = int(np.argmin(chords))
-        ia, ib = divmod(flat, chords.shape[1])
-        return float(chords[ia, ib]), float(a_grid[ia]), float(b_grid[ib])
+        return _capped_chord_min(va0, va1, a_lo, a_hi, vb0, vb1, b_lo, b_hi, cap)
 
-    def finalize(self, chord: float, a_raw: float, b_raw: float, i: int, k: int):
-        """Nudge open-boundary hits inward and build the window record."""
+    def finalize(self, a_raw, b_raw, i, k):
+        """Nudge open-boundary hits inward and build the window records."""
         a_lo, a_hi, _, _ = self.a_edge(i)
         b_lo, b_hi, _, _ = self.b_edge(k)
-        eps_a = (a_hi - a_lo) * 1e-9
-        eps_b = (b_hi - b_lo) * 1e-9
-        if a_raw >= a_hi:
-            a_raw = a_hi - eps_a
-        if b_raw <= b_lo:
-            b_raw = b_lo + eps_b
-        a_n = a_raw % self.L if self.closed else min(max(a_raw, 0.0), self.L)
-        b_n = b_raw % self.L if self.closed else min(max(b_raw, 0.0), self.L)
-        chord = float(np.linalg.norm(self.curve.point_at(a_n) - self.curve.point_at(b_n)))
+        a_raw = np.where(a_raw >= a_hi, a_hi - (a_hi - a_lo) * 1e-9, a_raw)
+        b_raw = np.where(b_raw <= b_lo, b_lo + (b_hi - b_lo) * 1e-9, b_raw)
+        if self.closed:
+            a_n = np.mod(a_raw, self.L)
+            b_n = np.mod(b_raw, self.L)
+        else:
+            a_n = np.clip(a_raw, 0.0, self.L)
+            b_n = np.clip(b_raw, 0.0, self.L)
+        chord = np.linalg.norm(self.curve.point_at(a_n) - self.curve.point_at(b_n), axis=1)
         kappa = self.curve.subarc_curvature(a_n, b_n)
-        return CurvatureWindow(
-            a=float(a_n),
-            b=float(b_n),
-            kappa=float(kappa),
-            chord=chord,
-            arclen=float(b_raw - a_raw),
-        )
+        rows = zip(a_n.tolist(), b_n.tolist(), kappa.tolist(), chord.tolist(),
+                   (b_raw - a_raw).tolist())
+        return [CurvatureWindow(a=a, b=b, kappa=kap, chord=ch, arclen=arc)
+                for a, b, kap, ch, arc in rows]
 
 
 def scan_windows(curve: PolyCurve, cap: float, step: float):
@@ -235,82 +248,45 @@ def scan_windows(curve: PolyCurve, cap: float, step: float):
 
     For every corner i, the shortest run i..k whose turning sum first reaches
     pi is located; the window endpoints then range over the two free boundary
-    edges (sampled at spacing <= step wherever the arclength cap binds, exact
-    segment-to-segment minimization otherwise).  Windows whose minimal
-    arclength exceeds `cap` are dropped.  Returns an empty list when no run
-    reaches turning pi.
+    edges, and the chord is minimized exactly under the arclength cap.
+    Windows whose minimal arclength exceeds `cap` are dropped.  Returns an
+    empty list when no run reaches turning pi.  `step` is validated only.
     """
     if cap <= 0.0:
         raise ValueError("cap must be positive")
-    scanner = _RunScanner(curve, step)
-    out = []
-    for i in range(scanner.n):
-        k = scanner.k_first(i)
-        if k < 0:
-            continue
-        cand = scanner.best_for_run(i, k, cap)
-        if cand is None:
-            continue
-        out.append(scanner.finalize(*cand, i, k))
-    return out
+    _check_step(curve, step)
+    scanner = _RunScanner(curve)
+    i = np.arange(scanner.n)
+    k = scanner.k_first(i)
+    i, k = i[k >= 0], k[k >= 0]
+    chord, a_raw, b_raw = scanner.chord_min(i, k, cap)
+    ok = np.isfinite(chord)
+    return scanner.finalize(a_raw[ok], b_raw[ok], i[ok], k[ok])
 
 
-def _enumerate_best(curve: PolyCurve, effective_cap: float, step: float):
-    """Global minimum-chord candidate over all runs (not only minimal ones)."""
-    scanner = _RunScanner(curve, step)
-    L = scanner.L
-    closed = scanner.closed
+def _enumerate_best(curve: PolyCurve, effective_cap: float):
+    """Global minimum-chord window over all runs (not only minimal ones);
+    ties go to the smaller normalized a, then b."""
+    scanner = _RunScanner(curve)
+    corners = np.arange(scanner.n)
+    k_lo = scanner.k_first(corners)
+    k_hi = scanner.k_last_under_cap(corners, effective_cap)
     best_key = None
-    best = None  # (chord, a_raw, b_raw, i, k)
-
-    def offer(chord, a_raw, b_raw, i, k):
-        nonlocal best_key, best
-        a_n = a_raw % L if closed else a_raw
-        b_n = b_raw % L if closed else b_raw
-        key = (chord, a_n, b_n)  # ties broken by smaller a, then smaller b
+    best = None  # (a_raw, b_raw, i, k)
+    for i in np.nonzero((k_lo >= 0) & (k_hi >= k_lo))[0]:
+        chord, a_raw, b_raw = scanner.chord_min(i, slice(k_lo[i], k_hi[i] + 1), effective_cap)
+        tie = np.flatnonzero(chord == np.min(chord))
+        a_n = a_raw[tie] % scanner.L if scanner.closed else a_raw[tie]
+        b_n = b_raw[tie] % scanner.L if scanner.closed else b_raw[tie]
+        j = int(np.lexsort((b_n, a_n))[0])
+        key = (float(chord[tie[j]]), float(a_n[j]), float(b_n[j]))
         if best_key is None or key < best_key:
             best_key = key
-            best = (chord, a_raw, b_raw, i, k)
-
-    for i in range(scanner.n):
-        k_lo = scanner.k_first(i)
-        if k_lo < 0:
-            continue
-        k_hi = scanner.k_last_under_cap(i, effective_cap)
-        if k_hi < k_lo:
-            continue
-        ks = np.arange(k_lo, k_hi + 1)
-        a_lo, a_hi, va0, va1 = scanner.a_edge(i)
-        if closed:
-            vk = ks % scanner.n
-        else:
-            vk = ks + scanner.vshift
-        b_lo = scanner.pos_ext[ks]
-        b_len = scanner.curve._edge_lens[vk]
-        exact = (b_lo + b_len) - a_lo <= effective_cap
-
-        if np.any(exact):
-            sel = ks[exact]
-            vsel = vk[exact]
-            vb0 = curve.vertices[vsel]
-            vb1 = curve.vertices[(vsel + 1) % scanner.nv]
-            dist, s, t = segment_to_segments_distance(va0, va1, vb0, vb1)
-            j = int(np.argmin(dist))
-            a_raw = a_lo + float(s[j]) * (a_hi - a_lo)
-            b_raw = float(b_lo[exact][j]) + float(t[j]) * float(b_len[exact][j])
-            offer(float(dist[j]), a_raw, b_raw, i, int(sel[j]))
-
-        for k in ks[~exact]:
-            res = scanner.best_for_run(i, int(k), effective_cap)
-            if res is None:
-                continue
-            chord, a_raw, b_raw = res
-            offer(chord, a_raw, b_raw, i, int(k))
-
+            best = (a_raw[tie[j]], b_raw[tie[j]], i, k_lo[i] + tie[j])
     if best is None:
-        return None, None
-    chord, a_raw, b_raw, i, k = best
-    return scanner.finalize(chord, a_raw, b_raw, i, k), scanner
+        return None
+    a_raw, b_raw, i, k = (np.array([x]) for x in best)
+    return scanner.finalize(a_raw, b_raw, i, k)[0]
 
 
 def pi_distance(curve: PolyCurve, mode: str = "capped", cap: Optional[float] = None,
@@ -325,8 +301,10 @@ def pi_distance(curve: PolyCurve, mode: str = "capped", cap: Optional[float] = N
     scanned.  This gives a usable diagnostic but is NOT equivalent to the
     literal definition and must not be read as a side-length bound.
 
-    The value is an upper-biased estimate converging to the true infimum as
-    step -> 0; the sampling resolution is recorded in the result.
+    The value is exact: each run's minimum chord comes from a closed form
+    in O(1) memory, nothing is sampled.  `step` only sets the wrap margin of
+    closed curves (subarcs up to L - step long) and is reported as the
+    result's `resolution`.
     """
     if mode not in ("literal", "capped"):
         raise ValueError("mode must be 'literal' or 'capped'")
@@ -347,7 +325,8 @@ def pi_distance(curve: PolyCurve, mode: str = "capped", cap: Optional[float] = N
         effective_cap = min(cap, L - step) if curve.closed else min(cap, L)
         cap_out = float(cap)
 
-    witness, _ = _enumerate_best(curve, effective_cap, step)
+    _check_step(curve, step)
+    witness = _enumerate_best(curve, effective_cap)
     if witness is None:
         return PiDistanceResult(value=None, witness=None, mode=mode, cap=cap_out,
                                 resolution=float(step))

@@ -104,22 +104,21 @@ def arc_length_reference(curve, a, b):
 
 
 def subarc_curvature_reference(curve, a, b):
-    """The scalar PolyCurve.subarc_curvature the array version replaced."""
+    """Scalar PolyCurve.subarc_curvature: on a closed curve the arc crosses
+    the seam iff its normalized end lies before its normalized start, and an
+    arc that ends on the seam vertex (b == 0) leaves that atom out."""
     if not curve.closed:
         return _atom_mass_reference(curve, a, b)
     L = curve.length
     a = float(np.mod(a, L))
-    span = float(np.mod(b - a, L))
-    if span == 0.0:
-        return 0.0
-    b = a + span
-    if b <= L:
+    b = float(np.mod(b, L))
+    if b >= a:
         return _atom_mass_reference(curve, a, b)
     total = _atom_mass_reference(curve, a, L)
     pos, ang = curve._atoms
-    if pos[0] == 0.0 and b - L > 0.0:
+    if pos[0] == 0.0 and b > 0.0:
         total += float(ang[0])
-    return total + _atom_mass_reference(curve, 0.0, b - L)
+    return total + _atom_mass_reference(curve, 0.0, b)
 
 
 def convergence_errors_reference(target, approximant, depth):
@@ -583,6 +582,12 @@ def test_arc_methods_on_arrays_equal_scalar_reference_per_pair(name):
             [subarc_curvature_reference(curve, x, y) for x, y in zip(a, b)]
         assert curve.subarc_curvature(a[7], b[7]) == subarc_curvature_reference(curve, a[7], b[7])
         assert isinstance(curve.arc_length(a[7], b[7]), float)
+
+
+def test_convergence_report_of_similar_squares_has_no_seam_curvature():
+    square = make_unit_square()
+    scaled = PolyCurve(square.vertices * 0.9, closed=True)
+    assert convergence_report(scaled, square, dyadic_depth=4).curvature_err == 0.0
 
 
 def test_convergence_errors_match_scalar_loop_at_depth_8():

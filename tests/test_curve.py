@@ -215,6 +215,14 @@ def test_subarc_excludes_exact_vertex_hits():
     assert math.isclose(sq.subarc_curvature(1.0, 2.5), math.pi / 2, abs_tol=1e-15)
 
 
+def test_subarc_ending_on_the_seam_leaves_its_atom_out():
+    # 0.4375 * 3.6 + (3.6 - 0.4375 * 3.6) rounds above L = 3.6; the arc still
+    # ends on vertex 0 and takes in only the corners at 1.8 and 2.7
+    scaled = PolyCurve(make_unit_square().vertices * 0.9, closed=True)
+    assert scaled.subarc_curvature(0.4375 * 3.6, 3.6) == math.pi
+    assert scaled.subarc_curvature(np.array([0.4375 * 3.6]), np.array([3.6])).tolist() == [math.pi]
+
+
 def test_subarc_against_brute_oracle():
     rng = np.random.default_rng(7)
     for _ in range(30):

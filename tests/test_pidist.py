@@ -5,10 +5,23 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given
+from hypothesis import strategies as st
+
+from helpers import random_rotation, random_star_polygon
 from sqpeg.curve import PolyCurve
-from sqpeg.generators import make_circle, make_ellipse, make_regular_polygon, make_unit_square
+from sqpeg.generators import (
+    make_circle,
+    make_ellipse,
+    make_fourier_curve,
+    make_random_jordan,
+    make_regular_polygon,
+    make_star_polygon,
+    make_unit_square,
+)
 from sqpeg.pidist import (
     PiDistanceResult,
+    _RunScanner,
     pi_distance,
     scan_windows,
     sidelength_bound_report,
@@ -31,6 +44,98 @@ def brute_force_pi_scan(curve, cap, step):
                 chord = float(np.linalg.norm(pa - curve.point_at(b)))
                 windows.append((a, b, chord))
     return windows
+
+
+def _step_grid(lo, hi, step, include_lo, include_hi):
+    """Global multiples of step inside (lo, hi), plus requested endpoints."""
+    first = math.floor(lo / step) + 1
+    last = math.floor(hi / step)
+    vals = np.arange(first, last + 1, dtype=float) * step
+    vals = vals[(vals > lo) & (vals < hi)]
+    parts = [vals]
+    if include_lo:
+        parts.insert(0, np.array([lo]))
+    if include_hi:
+        parts.append(np.array([hi]))
+    return np.concatenate(parts)
+
+
+def sampled_run_min(scanner, i, k, cap, step):
+    """The step-grid scan the closed form replaced: minimum chord over the
+    grid points of run (i, k)'s boundary edges within the cap, inf if none."""
+    a_lo, a_hi, va0, va1 = scanner.a_edge(i)
+    b_lo, b_hi, vb0, vb1 = scanner.b_edge(k)
+    a_grid = _step_grid(a_lo, a_hi, step, include_lo=True, include_hi=False)
+    b_grid = _step_grid(b_lo, b_hi, step, include_lo=False, include_hi=True)
+    ok = b_grid[None, :] - a_grid[:, None] <= cap
+    pa = va0 + ((a_grid - a_lo) / (a_hi - a_lo))[:, None] * (va1 - va0)
+    pb = vb0 + ((b_grid - b_lo) / (b_hi - b_lo))[:, None] * (vb1 - vb0)
+    chords = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
+    return float(np.min(chords, initial=np.inf, where=ok))
+
+
+def _runs(scanner, cap):
+    """(i, k_lo, k_hi) for every corner with a run that reaches pi."""
+    corners = np.arange(scanner.n)
+    k_lo = scanner.k_first(corners)
+    k_hi = scanner.k_last_under_cap(corners, cap)
+    return [(i, k_lo[i], k_hi[i]) for i in corners if 0 <= k_lo[i] <= k_hi[i]]
+
+
+_DIFFERENTIAL_CURVES = {
+    "square": make_unit_square(),
+    "heptagon": make_regular_polygon(7),
+    "star5": make_star_polygon(5),
+    "fourier3d": make_fourier_curve([[1, 0, 0.2], [0, 0.3, 0], [0, 0, 0.4]],
+                                    [[0, 0.3, 0], [1, 0, 0.2], [0, 0.5, 0]], samples=40),
+    "jordan1": make_random_jordan(24, seed=1),
+    "jordan2": make_random_jordan(32, seed=2, amplitude=1.0, harmonics=6),
+    "chain": PolyCurve([[0, 0], [1, 0], [1, 1], [0.2, 1.1], [0.1, 0.3], [0.6, 0.4]], closed=False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DIFFERENTIAL_CURVES))
+def test_closed_form_run_minimum_against_sampled_scan(name):
+    curve = _DIFFERENTIAL_CURVES[name]
+    L = curve.length
+    scanner = _RunScanner(curve)
+    rng = np.random.default_rng(5)
+    checked = 0
+    for step in (L / 97, L / 256, L / 601):
+        for cap in (L / 2, L / 3, (L - step) if curve.closed else L):
+            for i, k_lo, k_hi in _runs(scanner, cap):
+                ks = slice(k_lo, k_hi + 1)
+                exact, a_raw, b_raw = scanner.chord_min(i, ks, cap)
+                # the minimizer is feasible and its chord is the one reported
+                a_lo, a_hi, va0, va1 = scanner.a_edge(i)
+                b_lo, b_hi, vb0, vb1 = scanner.b_edge(ks)
+                fin = exact < math.inf
+                assert np.all(b_raw[fin] - a_raw[fin] <= cap + 1e-12 * L)
+                assert np.all((a_lo <= a_raw) & (a_raw <= a_hi))
+                assert np.all((b_lo <= b_raw) & (b_raw <= b_hi))
+                pa = va0 + ((a_raw - a_lo) / (a_hi - a_lo))[:, None] * (va1 - va0)
+                pb = vb0 + ((b_raw - b_lo) / (b_hi - b_lo))[:, None] * (vb1 - vb0)
+                assert np.allclose(np.linalg.norm(pa - pb, axis=1)[fin], exact[fin],
+                                   rtol=0.0, atol=1e-12 * L)
+                for j, k in enumerate(range(k_lo, k_hi + 1)):
+                    b_lo, b_hi, vb0, vb1 = scanner.b_edge(k)
+                    assert (exact[j] == math.inf) == (b_lo - a_hi > cap)
+                    sampled = sampled_run_min(scanner, i, k, cap, step)
+                    if sampled == math.inf:
+                        # the grid misses a run only when its feasible set is
+                        # a sliver: the last a-sample and the first b-sample
+                        # each lie within a step of the edge's inner end
+                        assert cap - (b_lo - a_hi) < 2 * step
+                        continue
+                    # both sides evaluate the same chord in different roundings
+                    assert -1e-12 <= sampled - exact[j] <= 2 * step + 1e-12, (i, k, step, cap)
+                    # no feasible point of a dense random sample beats it
+                    s, t = rng.uniform(0.0, 1.0, (2, 400))
+                    ok = (b_lo + t * (b_hi - b_lo)) - (a_lo + s * (a_hi - a_lo)) <= cap
+                    gap = (va0 + s[ok, None] * (va1 - va0)) - (vb0 + t[ok, None] * (vb1 - vb0))
+                    assert np.all(np.linalg.norm(gap, axis=1) >= exact[j])
+                    checked += 1
+    assert checked > 0
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +252,56 @@ def test_pi_distance_deterministic():
     r1 = pi_distance(c, mode="capped")
     r2 = pi_distance(c, mode="capped")
     assert r1 == r2
+
+
+# ---------------------------------------------------------------------------
+# invariances: the value is exact, so it survives every change of frame
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _polygon_and_mode(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    jitter = draw(st.sampled_from([0.0, 0.3]))  # planar, or lifted to 3-D
+    curve = random_star_polygon(rng, 4, 12, z_jitter=jitter)
+    return curve, draw(st.sampled_from(["literal", "capped"])), rng
+
+
+def _value(vertices, mode):
+    """pi-distance with cap and step fixed fractions of the curve's length,
+    so that both follow a uniform scale."""
+    curve = PolyCurve(vertices, closed=True)
+    L = curve.length
+    res = pi_distance(curve, mode=mode, cap=0.4 * L, step=L / 300)
+    return math.inf if res.value is None else res.value
+
+
+def _close(x, y, curve):
+    return math.isclose(x, y, rel_tol=0.0, abs_tol=1e-12 * curve.length)
+
+
+@given(_polygon_and_mode())
+def test_pi_distance_invariant_under_rigid_motion(case):
+    curve, mode, rng = case
+    v = curve.vertices
+    moved = v @ random_rotation(v.shape[1], rng).T + rng.uniform(-5.0, 5.0, v.shape[1])
+    assert _close(_value(moved, mode), _value(v, mode), curve)
+
+
+@given(_polygon_and_mode(), st.floats(0.01, 100.0))
+def test_pi_distance_scales_with_the_curve(case, lam):
+    curve, mode, _ = case
+    v = curve.vertices
+    assert math.isclose(_value(lam * v, mode), lam * _value(v, mode), rel_tol=0.0,
+                        abs_tol=1e-12 * lam * curve.length)
+
+
+@given(_polygon_and_mode(), st.integers(1, 11))
+def test_pi_distance_invariant_under_start_vertex_and_orientation(case, shift):
+    curve, mode, _ = case
+    v = curve.vertices
+    base = _value(v, mode)
+    assert _close(_value(np.roll(v, shift, axis=0), mode), base, curve)
+    assert _close(_value(v[::-1], mode), base, curve)
 
 
 # ---------------------------------------------------------------------------
