@@ -73,7 +73,7 @@ class PiDistanceResult:
 
     value is None when no subarc reaches turning pi ("unbounded" in the
     serialized form).  The witness window attains the reported infimum, up
-    to an inward nudge of 1e-9 edge lengths for an endpoint that falls on a
+    to an inward slide of 1e-9 edge lengths when an endpoint falls on a
     boundary corner.  resolution is the step: the wrap margin on closed
     curves.
     """
@@ -223,12 +223,23 @@ class _RunScanner:
         b_lo, b_hi, vb0, vb1 = self.b_edge(k)
         return _capped_chord_min(va0, va1, a_lo, a_hi, vb0, vb1, b_lo, b_hi, cap)
 
-    def finalize(self, a_raw, b_raw, i, k):
-        """Nudge open-boundary hits inward and build the window records."""
+    def finalize(self, a_raw, b_raw, i, k, cap: float):
+        """Move open-boundary hits inward and build the window records.
+
+        An endpoint on its boundary corner moves 1e-9 of its edge inward and
+        the other endpoint moves the same way by the same amount: the window
+        slides, so its arclength stays within the cap.  When both endpoints
+        sit on corners, each moves inward by at most half the run's margin
+        cap - (b_lo - a_hi).
+        """
         a_lo, a_hi, _, _ = self.a_edge(i)
         b_lo, b_hi, _, _ = self.b_edge(k)
-        a_raw = np.where(a_raw >= a_hi, a_hi - (a_hi - a_lo) * 1e-9, a_raw)
-        b_raw = np.where(b_raw <= b_lo, b_lo + (b_hi - b_lo) * 1e-9, b_raw)
+        on_a, on_b = a_raw >= a_hi, b_raw <= b_lo
+        half_margin = np.where(on_a & on_b, np.maximum(0.5 * (cap - (b_lo - a_hi)), 0.0), np.inf)
+        down = np.where(on_a, np.minimum((a_hi - a_lo) * 1e-9, half_margin), 0.0)
+        up = np.where(on_b, np.minimum((b_hi - b_lo) * 1e-9, half_margin), 0.0)
+        a_raw = a_raw + np.where(on_a, -down, up)
+        b_raw = b_raw + np.where(on_b, up, -down)
         if self.closed:
             a_n = np.mod(a_raw, self.L)
             b_n = np.mod(b_raw, self.L)
@@ -261,7 +272,7 @@ def scan_windows(curve: PolyCurve, cap: float, step: float):
     i, k = i[k >= 0], k[k >= 0]
     chord, a_raw, b_raw = scanner.chord_min(i, k, cap)
     ok = np.isfinite(chord)
-    return scanner.finalize(a_raw[ok], b_raw[ok], i[ok], k[ok])
+    return scanner.finalize(a_raw[ok], b_raw[ok], i[ok], k[ok], cap)
 
 
 def _enumerate_best(curve: PolyCurve, effective_cap: float):
@@ -286,7 +297,7 @@ def _enumerate_best(curve: PolyCurve, effective_cap: float):
     if best is None:
         return None
     a_raw, b_raw, i, k = (np.array([x]) for x in best)
-    return scanner.finalize(a_raw, b_raw, i, k)[0]
+    return scanner.finalize(a_raw, b_raw, i, k, effective_cap)[0]
 
 
 def pi_distance(curve: PolyCurve, mode: str = "capped", cap: Optional[float] = None,

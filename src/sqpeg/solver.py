@@ -29,10 +29,9 @@ __all__ = [
     "parity_report",
 ]
 
-_SEED_KEEP_QUANTILE = 25.0  # percentile of the residual prefilter
 _ARC_KAPPA_TOL = 1e-6
-# largest accepted grid_m: seeding holds all C(grid_m, 4) tuples and their
-# residuals at once, and refinement probes a quarter of them 8 at a time
+# largest accepted grid_m: seeding holds the (grid_m + 2)^4 grid-residual
+# cube at once, about 152 MB at 64
 _MAX_GRID_M = 64
 # the 8 relabelings of a quadrilateral: 4 cyclic shifts, then the same of its
 # reversal; row r of params[..., _RELABEL] is image r
@@ -174,31 +173,49 @@ def _combinations4(m: int) -> np.ndarray:
     return combos
 
 
-def seed_grid(curve: PolyCurve, config: Optional[SolverConfig] = None) -> np.ndarray:
-    """Cyclically ordered 4-tuples on a grid_m-point equispaced arclength grid.
+def _grid_local_minima(curve: PolyCurve, m: int, cfg: SolverConfig):
+    """Grid-local minima of the normalized residual on an m-point equispaced
+    arclength grid, as (params (k, 4), norms (k,)) in lexicographic order.
 
-    Sorted index 4-subsets fix t1 to the first grid cell of each cyclic class,
-    so rotation duplicates never enter.  Tuples failing the minimum cyclic gap
-    are dropped, then a cheap residual prefilter keeps the best quartile.
+    Every sorted index 4-subset is scored; tuples with mean side under
+    min_side score inf.  The scores fill an (m+2)^4 cube padded with inf,
+    and a tuple is kept when its score is finite and no larger than any of
+    its 8 axis neighbours.  Tuples with a cyclic gap under gap_min are then
+    dropped.
     """
-    cfg = (config or SolverConfig()).resolved(curve)
-    m = cfg.grid_m
     L = curve.length
     grid = np.arange(m) * (L / m)
     combos = _combinations4(m)
-    params = grid[combos]
+    res, mean_side = _residuals_of_points(curve.point_at(grid)[combos])
+    norms = np.where(mean_side >= cfg.min_side, _norms(res, mean_side), np.inf)
 
-    gaps = np.diff(np.column_stack([params, params[:, :1] + L]), axis=1)
-    keep = np.min(gaps, axis=1) >= cfg.gap_min
-    combos, params = combos[keep], params[keep]
-    if params.shape[0] == 0:
-        return params
+    cube = np.full((m + 2,) * 4, np.inf)
+    cube[tuple(combos.T + 1)] = norms
+    del combos, res, mean_side, norms
+    core = cube[1:-1, 1:-1, 1:-1, 1:-1]
+    mask = np.isfinite(core)
+    for axis in range(4):
+        for off in (0, 2):
+            sl = [slice(1, -1)] * 4
+            sl[axis] = slice(off, off + m)
+            mask &= core <= cube[tuple(sl)]
 
-    pts = curve.point_at(grid)
-    res, mean_side = _residuals_of_points(pts[combos])
-    norms = _norms(res, mean_side)
-    cut = np.percentile(norms, _SEED_KEEP_QUANTILE)
-    return params[norms <= cut]
+    params, norms = grid[np.argwhere(mask)], core[mask]
+    keep = np.min(_cyclic_gaps(params, L), axis=1) >= cfg.gap_min
+    return params[keep], norms[keep]
+
+
+def seed_grid(curve: PolyCurve, config: Optional[SolverConfig] = None) -> np.ndarray:
+    """Cyclically ordered 4-tuples on a grid_m-point equispaced arclength
+    grid that are grid-local minima of the normalized residual.
+
+    Sorted index 4-subsets fix t1 to the first grid cell of each cyclic class,
+    so rotation duplicates never enter.  The local-minimum test and the
+    min_side and gap_min rules are those of brute_force_oracle, which shares
+    the grid-residual cube; there is no residual cutoff.
+    """
+    cfg = (config or SolverConfig()).resolved(curve)
+    return _grid_local_minima(curve, cfg.grid_m, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +479,9 @@ def find_quads(curve: PolyCurve, config: Optional[SolverConfig] = None,
 
 def brute_force_oracle(curve: PolyCurve, m: int = 24, tol: float = 0.3,
                        config: Optional[SolverConfig] = None) -> SolutionSet:
-    """Pure grid search: every cyclically ordered 4-tuple on an m-point
-    equispaced grid, keeping grid-local minima of the normalized residual
-    with norm <= tol.  No refinement; used to cross-check find_quads.
+    """Pure grid search: the grid-local minima that seed_grid refines, taken
+    on an m-point grid and kept when their normalized residual is <= tol.
+    No refinement; used to cross-check find_quads.
 
     A genuine solution sitting between grid points can carry a normalized
     residual up to ~(L/m)/side, so tol must stay loose at coarse m; the
@@ -476,31 +493,9 @@ def brute_force_oracle(curve: PolyCurve, m: int = 24, tol: float = 0.3,
         raise ValueError("oracle grid needs m >= 8")
     cfg = (config or SolverConfig()).resolved(curve)
     L = curve.length
-    grid = np.arange(m) * (L / m)
-    pts = curve.point_at(grid)
-
-    combos = _combinations4(m)
-    res, mean_side = _residuals_of_points(pts[combos])
-    norms = _norms(res, mean_side)
-    norms = np.where(mean_side >= cfg.min_side, norms, np.inf)
-
-    cube = np.full((m + 2,) * 4, np.inf)
-    idx = tuple(combos[:, i] + 1 for i in range(4))
-    cube[idx] = norms
-
-    core = cube[1:-1, 1:-1, 1:-1, 1:-1]
-    neighbor_min = np.full_like(core, np.inf)
-    for axis in range(4):
-        for off in (0, 2):
-            sl = [slice(1, -1)] * 4
-            sl[axis] = slice(off, off + m)
-            neighbor_min = np.minimum(neighbor_min, cube[tuple(sl)])
-
-    mask = (core <= tol) & (core <= neighbor_min)
-    hits = np.argwhere(mask)
-    cands, norms = grid[hits], core[mask]
-    keep = np.min(_cyclic_gaps(cands, L), axis=1) >= cfg.gap_min
-    cands, norms = cands[keep], norms[keep]
+    cands, norms = _grid_local_minima(curve, m, cfg)
+    hit = norms <= tol
+    cands, norms = cands[hit], norms[hit]
 
     # cluster plateau ties under the same symmetry-reduced metric,
     # keeping the lowest-residual member of each cluster

@@ -20,6 +20,7 @@ from sqpeg.generators import (
     make_unit_square,
 )
 from sqpeg.pidist import (
+    _PI_SLACK,
     PiDistanceResult,
     _RunScanner,
     pi_distance,
@@ -175,6 +176,21 @@ def test_window_invariants():
             assert w.kappa >= math.pi - 1e-12
             assert w.arclen <= cap + curve.length / 256
             assert w.chord <= w.arclen + 1e-12
+
+
+@pytest.mark.parametrize("n, seed", [(1024, 7), (2048, 8)])
+def test_corner_windows_stay_within_the_cap(n, seed):
+    # these curves have windows whose optimum lies on the cap line with one
+    # endpoint on a boundary corner; moving that endpoint inward must slide
+    # the window, not stretch it past the cap
+    curve = make_random_jordan(n, seed=seed)
+    L = curve.length
+    cap = L / 2
+    windows = scan_windows(curve, cap, L / 720)
+    windows.append(pi_distance(curve, "capped", cap=cap).witness)
+    for w in windows:
+        assert w.arclen - cap <= 1e-15 * L
+        assert w.kappa >= math.pi - _PI_SLACK
 
 
 # ---------------------------------------------------------------------------
