@@ -226,18 +226,20 @@ class _RunScanner:
     def finalize(self, a_raw, b_raw, i, k, cap: float):
         """Move open-boundary hits inward and build the window records.
 
-        An endpoint on its boundary corner moves 1e-9 of its edge inward and
-        the other endpoint moves the same way by the same amount: the window
-        slides, so its arclength stays within the cap.  When both endpoints
-        sit on corners, each moves inward by at most half the run's margin
-        cap - (b_lo - a_hi).
+        An endpoint on its boundary corner moves inward by 1e-9 of its edge,
+        capped at half the room the move has.  With one endpoint on its
+        corner the other moves the same way by the same amount, so the window
+        slides and its arclength is unchanged; the room is then the other
+        endpoint's distance from its own corner.  With both on corners each
+        moves inward and the room is the run's margin cap - (b_lo - a_hi).
         """
         a_lo, a_hi, _, _ = self.a_edge(i)
         b_lo, b_hi, _, _ = self.b_edge(k)
         on_a, on_b = a_raw >= a_hi, b_raw <= b_lo
-        half_margin = np.where(on_a & on_b, np.maximum(0.5 * (cap - (b_lo - a_hi)), 0.0), np.inf)
-        down = np.where(on_a, np.minimum((a_hi - a_lo) * 1e-9, half_margin), 0.0)
-        up = np.where(on_b, np.minimum((b_hi - b_lo) * 1e-9, half_margin), 0.0)
+        room = np.where(on_a & on_b, cap - (b_lo - a_hi), np.where(on_a, b_raw - b_lo, a_hi - a_raw))
+        half_room = 0.5 * np.maximum(room, 0.0)
+        down = np.where(on_a, np.minimum((a_hi - a_lo) * 1e-9, half_room), 0.0)
+        up = np.where(on_b, np.minimum((b_hi - b_lo) * 1e-9, half_room), 0.0)
         a_raw = a_raw + np.where(on_a, -down, up)
         b_raw = b_raw + np.where(on_b, up, -down)
         if self.closed:

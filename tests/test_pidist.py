@@ -193,6 +193,23 @@ def test_corner_windows_stay_within_the_cap(n, seed):
         assert w.kappa >= math.pi - _PI_SLACK
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_corner_window_slide_stays_on_the_run(reverse):
+    # corners of 60 and 120 degrees joined by a unit edge, the cap 1e-13 over
+    # it: the optimum puts one endpoint on its corner and the other 1e-13 past
+    # its own, far less than 1e-9 of an edge, so the slide must stop short of
+    # pushing that endpoint off its edge (reversal swaps the two roles)
+    verts = np.array([(-2.0, 0.0), (0.0, 0.0), (0.5, math.sqrt(3) / 2), (-3.0, math.sqrt(3) / 2)])
+    curve = PolyCurve(verts[::-1] if reverse else verts, closed=True)
+    cap = float(np.linalg.norm(verts[2] - verts[1])) + 1e-13
+    windows = scan_windows(curve, cap, curve.length / 720)
+    assert len(windows) == 1
+    windows.append(pi_distance(curve, "capped", cap=cap).witness)
+    for w in windows:
+        assert w.arclen <= cap
+        assert w.kappa >= math.pi - _PI_SLACK
+
+
 # ---------------------------------------------------------------------------
 # pi_distance
 # ---------------------------------------------------------------------------
