@@ -4,6 +4,7 @@ total curvature as a sum of vertex atoms, cusp detection, embeddedness."""
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -11,6 +12,7 @@ import numpy as np
 __all__ = ["PolyCurve", "angle_between", "segment_to_segments_distance"]
 
 _EPS = 1e-12
+_CCW_ERR = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53  # Shewchuk's orient2d error bound
 
 
 def angle_between(u, v) -> float:
@@ -31,10 +33,10 @@ def angle_between(u, v) -> float:
 
 
 def segment_to_segments_distance(p0, p1, q0, q1):
-    """Minimum distances between segment (p0,p1) and a batch of segments.
+    """Minimum distances between segments paired row by row.
 
-    p0, p1: (n,) endpoints of a single segment, or (k, n) endpoints of k
-    segments paired row by row with the batch.
+    p0, p1: (k, n) endpoints of k segments, or (n,) endpoints of one
+    segment broadcast against every row.
     q0, q1: (k, n) endpoints of k segments.
     Returns (dist, s, t): distances and the clamped parameters of the
     closest points, p0 + s*(p1-p0) and q0 + t*(q1-q0).  Segments must have
@@ -48,16 +50,8 @@ def segment_to_segments_distance(p0, p1, q0, q1):
     d1 = p1 - p0
     d2 = q1 - q0
     r = p0 - q0
-    if d1.ndim == 1:
-        # matrix-vector products, whose rounding is_embedded and the
-        # generators' rejection sampling have always seen
-        a = float(np.dot(d1, d1))
-        b = d2 @ d1
-        c = r @ d1
-    else:
-        a, b, c = (np.einsum("ij,ij->i", x, d1) for x in (d1, d2, r))
-    e = np.einsum("ij,ij->i", d2, d2)
-    f = np.einsum("ij,ij->i", d2, r)
+    a, b, c, e, f = (np.einsum("...j,...j->...", x, y)
+                     for x, y in ((d1, d1), (d2, d1), (r, d1), (d2, d2), (d2, r)))
 
     denom = a * e - b * b
     s = np.where(denom > _EPS, (b * f - c * e) / np.where(denom > _EPS, denom, 1.0), 0.0)
@@ -71,6 +65,29 @@ def segment_to_segments_distance(p0, p1, q0, q1):
     cq = q0 + t[:, None] * d2
     dist = np.linalg.norm(cp - cq, axis=1)
     return dist, s, t
+
+
+def _ragged(starts, counts, block: int = 1 << 16):
+    """Blocks of at most `block` pairs (r, starts[r] + j), j < counts[r]."""
+    ends = np.cumsum(counts)
+    for lo in range(0, int(ends[-1]) if ends.size else 0, block):
+        flat = np.arange(lo, min(lo + block, int(ends[-1])))
+        row = np.searchsorted(ends, flat, side="right")
+        yield row, starts[row] + flat - (ends[row] - counts[row])
+
+
+def _orientation(p, q, r):
+    """Exact signs of the cross products (q - p) x (r - p) of 2-D point
+    rows: the float sign where it clears Shewchuk's orient2d error bound,
+    rationals for the rare rows it cannot decide."""
+    left = (q[:, 0] - p[:, 0]) * (r[:, 1] - p[:, 1])
+    right = (q[:, 1] - p[:, 1]) * (r[:, 0] - p[:, 0])
+    det = np.sign(left - right)
+    for j in np.flatnonzero(np.abs(left - right) <= _CCW_ERR * (np.abs(left) + np.abs(right))):
+        (px, py), (qx, qy), (rx, ry) = ([Fraction(x) for x in v[j]] for v in (p, q, r))
+        exact = (qx - px) * (ry - py) - (qy - py) * (rx - px)
+        det[j] = (exact > 0) - (exact < 0)
+    return det
 
 
 class PolyCurve:
@@ -270,25 +287,37 @@ class PolyCurve:
     def is_embedded(self, clearance: float = 0.0) -> bool:
         """True iff no two non-adjacent edges approach within `clearance`.
 
-        Adjacent edges (sharing a vertex) are exempt.  A self-crossing curve
-        fails at any clearance >= 0.
+        Adjacent edges (sharing a vertex) are exempt, and only pairs whose
+        boxes, grown by clearance/2, overlap are measured.  In the plane a
+        pair meeting by exact orientation signs fails at any clearance >= 0;
+        in dimension 3 and up a crossing may compute to a distance above 0.
         """
         if clearance < 0.0:
             raise ValueError("clearance must be nonnegative")
         E = self.num_edges
-        v = self.vertices
-        starts = v[: E]
+        starts = self.vertices[:E]
         ends = starts + self._edge_vecs
-        for i in range(E - 2):
-            j_hi = E if not (self.closed and i == 0) else E - 1
-            j_lo = i + 2
-            if j_lo >= j_hi:
-                continue
-            dist, _, _ = segment_to_segments_distance(
-                starts[i], ends[i], starts[j_lo:j_hi], ends[j_lo:j_hi]
-            )
+        box_lo, box_hi = np.minimum(starts, ends), np.maximum(starts, ends)
+        lo, hi = box_lo - 0.5 * clearance, box_hi + 0.5 * clearance
+        order = np.argsort(lo[:, 0], kind="stable")
+        reach = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
+        after = np.arange(1, E + 1)
+        for r, c in _ragged(after, reach - after):
+            i, j = np.sort((order[r], order[c]), axis=0)
+            near = np.all((lo[i] <= hi[j]) & (lo[j] <= hi[i]), axis=1)
+            near &= (j - i > 1) & ~(self.closed & (i == 0) & (j == E - 1))
+            i, j = i[near], j[near]
+            dist, _, _ = segment_to_segments_distance(starts[i], ends[i], starts[j], ends[j])
             if np.any(dist <= clearance):
                 return False
+            if self.dimension == 2:
+                # segments meet iff their boxes overlap and neither lies
+                # strictly on one side of the other's line
+                m = np.all((box_lo[i] <= box_hi[j]) & (box_lo[j] <= box_hi[i]), axis=1)
+                p0, p1, q0, q1 = starts[i[m]], ends[i[m]], starts[j[m]], ends[j[m]]
+                if np.any((_orientation(p0, p1, q0) * _orientation(p0, p1, q1) <= 0)
+                          & (_orientation(q0, q1, p0) * _orientation(q0, q1, p1) <= 0)):
+                    return False
         return True
 
     # -- interchange format ----------------------------------------------

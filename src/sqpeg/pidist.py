@@ -9,10 +9,13 @@ labeled as such wherever it is reported.
 
 Both values are exact.  The subarcs with a given set of interior corners
 have their endpoints on two edges, and the least chord between two segments
-under one linear arclength limit has a closed form, so every run of corners
-costs O(1) memory and nothing is sampled.  `step` is kept for the wrap
-margin of closed curves (subarcs up to L - step long) and is reported as
-the result's `resolution`.
+under one linear arclength limit has a closed form, so nothing is sampled.
+The scan over all runs is pruned without changing its result: a run's chord
+is at least the distance of its two edges, which is at least
+|mid_a - mid_b| - (len_a + len_b) / 2, so a run whose bound exceeds a chord
+already found can neither win nor tie and is never evaluated.  `step` is
+kept for the wrap margin of closed curves (subarcs up to L - step long) and
+is reported as the result's `resolution`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .curve import PolyCurve, segment_to_segments_distance
+from .curve import PolyCurve, _ragged, segment_to_segments_distance
 
 __all__ = [
     "CurvatureWindow",
@@ -40,6 +43,8 @@ _PI_SLACK = 5e-13
 # message naming the smallest allowed step, so that `analyze --step` keeps
 # one documented range of accepted values
 _MAX_EDGE_SAMPLES = 2048
+# consecutive b-edges bounded together by one ball in the pruned scan
+_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -279,27 +284,53 @@ def scan_windows(curve: PolyCurve, cap: float, step: float):
 
 def _enumerate_best(curve: PolyCurve, effective_cap: float):
     """Global minimum-chord window over all runs (not only minimal ones);
-    ties go to the smaller normalized a, then b."""
+    ties go to the smaller normalized a, then b, then the earlier run.
+
+    The module's pruning bound is checked against balls around chunks of
+    b-edges, then per b-edge; the bar is the least chord found so far.
+    """
     scanner = _RunScanner(curve)
-    corners = np.arange(scanner.n)
-    k_lo = scanner.k_first(corners)
-    k_hi = scanner.k_last_under_cap(corners, effective_cap)
-    best_key = None
-    best = None  # (a_raw, b_raw, i, k)
-    for i in np.nonzero((k_lo >= 0) & (k_hi >= k_lo))[0]:
-        chord, a_raw, b_raw = scanner.chord_min(i, slice(k_lo[i], k_hi[i] + 1), effective_cap)
-        tie = np.flatnonzero(chord == np.min(chord))
-        a_n = a_raw[tie] % scanner.L if scanner.closed else a_raw[tie]
-        b_n = b_raw[tie] % scanner.L if scanner.closed else b_raw[tie]
-        j = int(np.lexsort((b_n, a_n))[0])
-        key = (float(chord[tie[j]]), float(a_n[j]), float(b_n[j]))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (a_raw[tie[j]], b_raw[tie[j]], i, k_lo[i] + tie[j])
-    if best is None:
+    i = np.arange(scanner.n)
+    k_lo = scanner.k_first(i)
+    k_hi = scanner.k_last_under_cap(i, effective_cap)
+    live = (k_lo >= 0) & (k_hi >= k_lo)
+    if not np.any(live):
         return None
-    a_raw, b_raw, i, k = (np.array([x]) for x in best)
-    return scanner.finalize(a_raw, b_raw, i, k, effective_cap)[0]
+    i, k_lo, k_hi = i[live], k_lo[live], k_hi[live]
+    slack = 1e-12 * scanner.L  # covers the rounding of the bound
+    limit = min(np.min(scanner.chord_min(i, k, effective_cap)[0]) for k in (k_lo, k_hi)) + slack
+
+    a_lo, a_hi, va0, va1 = scanner.a_edge(i)
+    a_mid, a_half = 0.5 * (va0 + va1), 0.5 * (a_hi - a_lo)
+    b_lo, b_hi, vb0, vb1 = scanner.b_edge(slice(None))
+    b_mid, b_half = 0.5 * (vb0 + vb1), 0.5 * (b_hi - b_lo)
+    heads = np.arange(0, len(b_lo), _CHUNK)
+    center = 0.5 * (np.maximum.reduceat(b_mid, heads) + np.minimum.reduceat(b_mid, heads))
+    radius = np.maximum.reduceat(
+        np.linalg.norm(b_mid - center[np.arange(len(b_lo)) // _CHUNK], axis=1) + b_half, heads)
+
+    def near(r, mid, reach):
+        return np.linalg.norm(a_mid[r] - mid, axis=1) - a_half[r] - reach <= limit
+
+    def first(runs):
+        """Column of the least (chord, normalized a, b), the earliest of equals."""
+        a_n, b_n = np.mod(runs[1:3], scanner.L) if scanner.closed else runs[1:3]
+        return np.lexsort((b_n, a_n, runs[0]))[:1]
+
+    winners = []  # columns (chord, a_raw, b_raw, i, k), one per block
+    for r, c in _ragged(k_lo // _CHUNK, k_hi // _CHUNK - k_lo // _CHUNK + 1):
+        keep = near(r, center[c], radius[c])
+        r, c = r[keep], c[keep]
+        start = np.maximum(c * _CHUNK, k_lo[r])
+        for q, k in _ragged(start, np.minimum(c * _CHUNK + _CHUNK - 1, k_hi[r]) - start + 1):
+            keep = near(r[q], b_mid[k], b_half[k])
+            ik = (i[r[q][keep]], k[keep])
+            runs = np.stack((*scanner.chord_min(*ik, effective_cap), *ik))
+            winners.append(runs[:, first(runs)])
+            limit = min(limit, np.min(runs[0], initial=np.inf) + slack)
+    runs = np.concatenate(winners, axis=1)
+    _, a_raw, b_raw, wi, wk = runs[:, first(runs)]
+    return scanner.finalize(a_raw, b_raw, wi.astype(int), wk.astype(int), effective_cap)[0]
 
 
 def pi_distance(curve: PolyCurve, mode: str = "capped", cap: Optional[float] = None,
@@ -314,8 +345,8 @@ def pi_distance(curve: PolyCurve, mode: str = "capped", cap: Optional[float] = N
     scanned.  This gives a usable diagnostic but is NOT equivalent to the
     literal definition and must not be read as a side-length bound.
 
-    The value is exact: each run's minimum chord comes from a closed form
-    in O(1) memory, nothing is sampled.  `step` only sets the wrap margin of
+    The value is exact: each run's minimum chord comes from a closed form,
+    nothing is sampled, and the runs the pruning skips cannot win.  `step` only sets the wrap margin of
     closed curves (subarcs up to L - step long) and is reported as the
     result's `resolution`.
     """

@@ -1,13 +1,20 @@
 """Tests for the polygonal-curve primitives."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from helpers import random_star_polygon
-from sqpeg.curve import PolyCurve, angle_between
-from sqpeg.generators import make_circle, make_regular_polygon, make_unit_square
+from sqpeg.curve import PolyCurve, angle_between, segment_to_segments_distance
+from sqpeg.generators import (
+    make_circle,
+    make_random_jordan,
+    make_regular_polygon,
+    make_unit_square,
+)
 
 
 def brute_subarc_curvature(curve, a, b):
@@ -300,6 +307,125 @@ def test_is_embedded_clearance_semantics():
 def test_is_embedded_rejects_negative_clearance():
     with pytest.raises(ValueError):
         make_unit_square().is_embedded(-1.0)
+
+
+def reference_is_embedded(curve, clearance):
+    """The per-edge loop the box sweep replaced: each edge against every
+    later non-adjacent edge, by computed distance only."""
+    E = curve.num_edges
+    starts = curve.vertices[:E]
+    ends = starts + curve._edge_vecs
+    for i in range(E - 2):
+        j_hi = E - 1 if curve.closed and i == 0 else E
+        if i + 2 < j_hi:
+            dist, _, _ = segment_to_segments_distance(starts[i], ends[i], starts[i + 2:j_hi],
+                                                      ends[i + 2:j_hi])
+            if np.any(dist <= clearance):
+                return False
+    return True
+
+
+def _segments_meet(a0, a1, b0, b1):
+    """Whether two plane segments share a point, solved in rationals."""
+    a0, a1, b0, b1 = ([Fraction(x) for x in p] for p in (a0, a1, b0, b1))
+    d = (a1[0] - a0[0], a1[1] - a0[1])
+    e = (b1[0] - b0[0], b1[1] - b0[1])
+    w = (b0[0] - a0[0], b0[1] - a0[1])
+    det = d[0] * e[1] - d[1] * e[0]
+    if det != 0:
+        s = (w[0] * e[1] - w[1] * e[0]) / det
+        t = (w[0] * d[1] - w[1] * d[0]) / det
+        return 0 <= s <= 1 and 0 <= t <= 1
+    if w[0] * d[1] - w[1] * d[0] != 0:
+        return False  # parallel lines
+    # collinear: where b's endpoints fall along a, as multiples of d
+    dd = d[0] * d[0] + d[1] * d[1]
+    t0 = (w[0] * d[0] + w[1] * d[1]) / dd
+    t1 = t0 + (e[0] * d[0] + e[1] * d[1]) / dd
+    return max(min(t0, t1), 0) <= min(max(t0, t1), 1)
+
+
+def exact_meeting_pairs(curve):
+    """Non-adjacent edge pairs of a plane curve that share a point."""
+    E, v = curve.num_edges, curve.vertices
+    return [(i, j) for i in range(E) for j in range(i + 2, E)
+            if not (curve.closed and i == 0 and j == E - 1)
+            and _segments_meet(v[i], v[(i + 1) % len(v)], v[j], v[(j + 1) % len(v)])]
+
+
+def test_is_embedded_catches_every_crossing_bowtie():
+    # crossing segments compute to a distance of 1e-17 to 3e-16, not 0;
+    # the per-edge loop called 374 of the 394 bowties of edges 0 and 2
+    # below embedded
+    quads = np.random.default_rng(0).normal(size=(2000, 4, 2))
+    crossings = 0
+    for quad in quads:
+        curve = PolyCurve(quad, closed=True)
+        meet = exact_meeting_pairs(curve)
+        crossings += (0, 2) in meet
+        assert curve.is_embedded(0.0) == (not meet)
+    assert crossings == 394
+
+
+def test_is_embedded_touching_and_collinear_overlap():
+    touch = PolyCurve([[0, 0], [2, 0], [2, 1], [1, 0.0], [1, -1]], closed=False)
+    assert not touch.is_embedded(0.0)
+    overlap = PolyCurve([[0, 0], [3, 0], [3, 1], [1, 1], [1, 0], [2, 0], [2, -1]],
+                        closed=False)
+    assert not overlap.is_embedded(0.0)
+    apart = PolyCurve([[0, 0], [3, 0], [3, 1], [4, 1], [4, 0], [5, 0]], closed=False)
+    assert apart.is_embedded(0.0)
+
+
+def _embedding_curves():
+    rng = np.random.default_rng(31)
+    curves = [make_random_jordan(n, seed=s) for s, n in enumerate((24, 48, 96))]
+    for dim in (2, 3):
+        for closed in (True, False):
+            for _ in range(12):
+                n = int(rng.integers(4, 30))
+                curves.append(PolyCurve(rng.normal(size=(n, dim)), closed))
+                star = random_star_polygon(rng, 6, 40, z_jitter=0.3 if dim == 3 else 0.0)
+                curves.append(PolyCurve(star.vertices, closed))
+    return curves
+
+
+@pytest.mark.parametrize("clearance", [0.0, 1e-3, 0.1])
+def test_is_embedded_matches_per_edge_loop(clearance):
+    caught = 0
+    for curve in _embedding_curves():
+        ours, ref = curve.is_embedded(clearance), reference_is_embedded(curve, clearance)
+        if ours != ref:
+            # only a plane meeting whose computed distance was above the
+            # clearance may change the answer, and it must be a real one
+            assert ref and not ours and curve.dimension == 2
+            assert exact_meeting_pairs(curve)
+            caught += 1
+    assert caught > 0 if clearance == 0.0 else caught == 0
+
+
+def _comb(teeth, width=1000.0):
+    """Serpentine of horizontal edges one apart: every horizontal edge's box
+    overlaps every other box in x."""
+    xs = np.where(np.arange(2 * teeth) % 4 < 2, 0.0, width)
+    xs[1::2] = width - xs[0::2]
+    return PolyCurve(np.column_stack([xs, np.repeat(np.arange(float(teeth)), 2)]), closed=False)
+
+
+@pytest.mark.parametrize("curve, clearance, expected", [
+    (_comb(2000), 0.5, True),
+    (_comb(2000), 1.5, False),
+    (make_random_jordan(16384, seed=3), 0.0, True),
+])
+def test_is_embedded_memory_bounded(curve, clearance, expected):
+    tracemalloc.start()
+    try:
+        result = curve.is_embedded(clearance)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result is expected
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the pi-distance machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import random_rotation, random_star_polygon
+from sqpeg.approx import inscribe_polygon
 from sqpeg.curve import PolyCurve
 from sqpeg.generators import (
     make_circle,
@@ -22,6 +24,7 @@ from sqpeg.generators import (
 from sqpeg.pidist import (
     _PI_SLACK,
     PiDistanceResult,
+    _enumerate_best,
     _RunScanner,
     pi_distance,
     scan_windows,
@@ -285,6 +288,133 @@ def test_pi_distance_deterministic():
     r1 = pi_distance(c, mode="capped")
     r2 = pi_distance(c, mode="capped")
     assert r1 == r2
+
+
+# ---------------------------------------------------------------------------
+# the pruned scan against the per-corner scan it replaced
+# ---------------------------------------------------------------------------
+
+def reference_enumerate_best(curve, effective_cap):
+    """Every run of every corner, one chord_min call per corner; ties go to
+    the smaller normalized a, then b, then the earlier corner."""
+    scanner = _RunScanner(curve)
+    corners = np.arange(scanner.n)
+    k_lo = scanner.k_first(corners)
+    k_hi = scanner.k_last_under_cap(corners, effective_cap)
+    best_key = None
+    best = None  # (a_raw, b_raw, i, k)
+    for i in np.nonzero((k_lo >= 0) & (k_hi >= k_lo))[0]:
+        chord, a_raw, b_raw = scanner.chord_min(i, slice(k_lo[i], k_hi[i] + 1), effective_cap)
+        tie = np.flatnonzero(chord == np.min(chord))
+        a_n = a_raw[tie] % scanner.L if scanner.closed else a_raw[tie]
+        b_n = b_raw[tie] % scanner.L if scanner.closed else b_raw[tie]
+        j = int(np.lexsort((b_n, a_n))[0])
+        key = (float(chord[tie[j]]), float(a_n[j]), float(b_n[j]))
+        if best_key is None or key < best_key:
+            best_key = key
+            best = (a_raw[tie[j]], b_raw[tie[j]], i, k_lo[i] + tie[j])
+    if best is None:
+        return None
+    a_raw, b_raw, i, k = (np.array([x]) for x in best)
+    return scanner.finalize(a_raw, b_raw, i, k, effective_cap)[0]
+
+
+def _effective_caps(curve):
+    """The scan limits pi_distance derives at steps L/720 and L/11520 from
+    the caps L/2, 0.3L, 3L/4 and L - step, and from literal mode."""
+    L = curve.length
+    caps = set()
+    for step in (L / 720, L / 11520):
+        top = L - step if curve.closed else L
+        caps.update(min(c, top) for c in (L / 2, 0.3 * L, 0.75 * L, L - step, top))
+    return sorted(caps)
+
+
+def _check_against_reference(curve):
+    L = curve.length
+    for cap in _effective_caps(curve):
+        ours = _enumerate_best(curve, cap)
+        ref = reference_enumerate_best(curve, cap)
+        assert (ours is None) == (ref is None), cap
+        if ours is None:
+            continue
+        assert abs(ours.chord - ref.chord) <= 1e-12 * L, (cap, ours, ref)
+        assert ours.kappa >= math.pi - _PI_SLACK
+        assert ours.arclen <= cap + 1e-12 * L
+        # both evaluate each run with the same row arithmetic, so even the
+        # ties of the regular polygons and the near-zero chords of the
+        # self-crossing ones go to the same run
+        assert ours == ref, cap
+
+
+def _sweep_curves():
+    rng = np.random.default_rng(23)
+    curves = {f"jordan{n}_{seed}": make_random_jordan(n, seed=seed)
+              for seed, n in enumerate(range(64, 505, 40))}
+    curves.update({f"{n}-gon": make_regular_polygon(n) for n in (*range(3, 13), 60)})
+    curves.update({f"star{p}": make_star_polygon(p, 1.0, r)
+                   for p, r in ((5, 0.5), (7, 0.3), (12, 0.8))})
+    for j in range(4):
+        n = int(rng.integers(6, 40))
+        curves[f"chain3d_{j}"] = PolyCurve(rng.normal(size=(n, 3)), closed=False)
+        curves[f"crossing_{j}"] = PolyCurve(rng.normal(size=(n, 2)), closed=True)
+    return curves
+
+
+_SWEEP = _sweep_curves()
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP))
+def test_pruned_scan_matches_per_corner_scan(name):
+    _check_against_reference(_SWEEP[name])
+
+
+def test_pruned_scan_matches_per_corner_scan_on_the_corpus(corpus):
+    for curve in corpus.values():
+        _check_against_reference(curve)
+
+
+def _measure_curves():
+    """The curves of the benchmark's measure workload at its seed 0."""
+    return {
+        "jordan1024": make_random_jordan(1024, seed=7),
+        "jordan2048": make_random_jordan(2048, seed=8),
+        "fourier3d": make_fourier_curve([[1, 0, 0.2], [0, 0.3, 0], [0, 0, 0.4]],
+                                        [[0, 0.3, 0], [1, 0, 0.2], [0, 0.5, 0]], samples=1024),
+        "heptagon": make_regular_polygon(7),
+        "star7": make_star_polygon(7),
+        "gon32": inscribe_polygon(make_random_jordan(256, seed=11, amplitude=1.0, harmonics=6),
+                                  32),
+    }
+
+
+def test_pruned_scan_same_witness_on_the_measure_curves():
+    for name, curve in _measure_curves().items():
+        L = curve.length
+        for cap in (L / 2, L - L / 11520):
+            assert _enumerate_best(curve, cap) == reference_enumerate_best(curve, cap), name
+
+
+_DENSE = {
+    "jordan16384": lambda: make_random_jordan(16384, seed=3),
+    # long spikes around a small hub: the midpoint bound keeps most of the
+    # 1024-vertex curve's runs, so the pruned scan evaluates about n^2 / 2
+    "deep_star512": lambda: make_star_polygon(512, 1.0, 0.1),
+}
+
+
+@pytest.mark.parametrize("mode", ["literal", "capped"])
+@pytest.mark.parametrize("name", sorted(_DENSE))
+def test_pruned_scan_memory_bounded(name, mode):
+    curve = _DENSE[name]()
+    tracemalloc.start()
+    try:
+        res = pi_distance(curve, mode=mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.witness.kappa >= math.pi - _PI_SLACK
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------

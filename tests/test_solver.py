@@ -350,6 +350,13 @@ def test_warns_on_non_embedded_curve():
         find_quads(fig8, SolverConfig(grid_m=8, max_iter=5))
 
 
+def test_warns_on_a_crossing_at_a_computed_distance_above_zero():
+    # edges 0 and 2 cross, but their computed distance is about 3e-17
+    bowtie = PolyCurve(np.random.default_rng(0).normal(size=(2000, 4, 2))[4], closed=True)
+    with pytest.warns(UserWarning, match="not embedded"):
+        find_quads(bowtie, SolverConfig(grid_m=8, max_iter=5))
+
+
 def test_rigid_motion_equivariance():
     from helpers import random_rotation
 
