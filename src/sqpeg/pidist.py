@@ -103,9 +103,13 @@ class PiDistanceResult:
         }
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive")
+
+
 def _check_step(curve: PolyCurve, step: float) -> None:
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    _check_positive("step", step)
     longest = float(np.max(curve._edge_lens))
     samples = math.ceil(longest / step)
     if samples > _MAX_EDGE_SAMPLES:
@@ -270,8 +274,7 @@ def scan_windows(curve: PolyCurve, cap: float, step: float):
     Windows whose minimal arclength exceeds `cap` are dropped.  Returns an
     empty list when no run reaches turning pi.  `step` is validated only.
     """
-    if cap <= 0.0:
-        raise ValueError("cap must be positive")
+    _check_positive("cap", cap)
     _check_step(curve, step)
     scanner = _RunScanner(curve)
     i = np.arange(scanner.n)
@@ -355,8 +358,7 @@ def pi_distance(curve: PolyCurve, mode: str = "capped", cap: Optional[float] = N
     L = curve.length
     if step is None:
         step = L / 720.0
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    _check_step(curve, step)
 
     if mode == "literal":
         effective_cap = (L - step) if curve.closed else L
@@ -364,12 +366,10 @@ def pi_distance(curve: PolyCurve, mode: str = "capped", cap: Optional[float] = N
     else:
         if cap is None:
             cap = L / 2.0
-        if cap <= 0.0:
-            raise ValueError("cap must be positive")
+        _check_positive("cap", cap)
         effective_cap = min(cap, L - step) if curve.closed else min(cap, L)
         cap_out = float(cap)
 
-    _check_step(curve, step)
     witness = _enumerate_best(curve, effective_cap)
     if witness is None:
         return PiDistanceResult(value=None, witness=None, mode=mode, cap=cap_out,

@@ -8,6 +8,7 @@ of the quadrilateral (cyclic shifts and reversal).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -30,13 +31,19 @@ __all__ = [
 ]
 
 _ARC_KAPPA_TOL = 1e-6
-# largest accepted grid_m: seeding holds the (grid_m + 2)^4 grid-residual
-# cube at once, about 152 MB at 64
+# largest accepted grid_m: seeding holds the C(grid_m, 4) grid tuples and
+# their scores, scored in blocks; seed_grid peaks at about 52 MB at 64
+# (tracemalloc, trefoil512), and find_quads at 86 MB of resident memory
 _MAX_GRID_M = 64
 # the 8 relabelings of a quadrilateral: 4 cyclic shifts, then the same of its
 # reversal; row r of params[..., _RELABEL] is image r
 _RELABEL = np.array([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2],
                      [3, 2, 1, 0], [2, 1, 0, 3], [1, 0, 3, 2], [0, 3, 2, 1]])
+_NEXT = _RELABEL[1]
+# finite-difference probe directions: rows 2i and 2i + 1 move t_i by +1 and -1
+_PROBE = np.kron(np.eye(4), [[1.0], [-1.0]])
+# grid tuples scored per block while seeding
+_BLOCK = 1 << 16
 
 
 @dataclass
@@ -69,8 +76,8 @@ class SolverConfig:
         if cfg.grid_m > _MAX_GRID_M:
             raise ValueError(f"grid_m must be at most {_MAX_GRID_M} (memory grows as grid_m^4)")
         for name in ("max_iter", "residual_tol", "dedup_tol", "gap_min", "min_side", "fd_step"):
-            if getattr(cfg, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not (math.isfinite(value := getattr(cfg, name)) and value > 0):
+                raise ValueError(f"{name} must be finite and positive")
         return cfg
 
 
@@ -124,23 +131,14 @@ class SolutionSet:
 def _residuals_of_points(pts) -> tuple[np.ndarray, np.ndarray]:
     """Residual 4-vector and mean side length for batched quads (k, 4, n)."""
     pts = np.asarray(pts, dtype=float)
-    sides = np.roll(pts, -1, axis=1) - pts
+    sides = pts[:, _NEXT] - pts
     side_sq = np.einsum("kij,kij->ki", sides, sides)
-    d1 = pts[:, 2] - pts[:, 0]
-    d2 = pts[:, 3] - pts[:, 1]
-    diag_sq1 = np.einsum("ki,ki->k", d1, d1)
-    diag_sq2 = np.einsum("ki,ki->k", d2, d2)
-    res = np.stack(
-        [
-            side_sq[:, 0] - side_sq[:, 1],
-            side_sq[:, 1] - side_sq[:, 2],
-            side_sq[:, 2] - side_sq[:, 3],
-            diag_sq1 - diag_sq2,
-        ],
-        axis=1,
-    )
-    mean_side = np.mean(np.sqrt(side_sq), axis=1)
-    return res, mean_side
+    diags = pts[:, 2:] - pts[:, :2]
+    diag_sq = np.einsum("kij,kij->ki", diags, diags)
+    res = np.empty_like(side_sq)
+    res[:, :3] = side_sq[:, :3] - side_sq[:, 1:]
+    res[:, 3] = diag_sq[:, 0] - diag_sq[:, 1]
+    return res, np.sqrt(side_sq).sum(axis=1) / 4.0
 
 
 def _eval_batch(curve: PolyCurve, params) -> tuple[np.ndarray, np.ndarray]:
@@ -177,30 +175,37 @@ def _grid_local_minima(curve: PolyCurve, m: int, cfg: SolverConfig):
     """Grid-local minima of the normalized residual on an m-point equispaced
     arclength grid, as (params (k, 4), norms (k,)) in lexicographic order.
 
-    Every sorted index 4-subset is scored; tuples with mean side under
-    min_side score inf.  The scores fill an (m+2)^4 cube padded with inf,
-    and a tuple is kept when its score is finite and no larger than any of
-    its 8 axis neighbours.  Tuples with a cyclic gap under gap_min are then
-    dropped.
+    Every sorted index 4-subset is scored, block by block; tuples with mean
+    side under min_side score inf.  A tuple is kept when its score is finite
+    and no larger than any of its 8 axis neighbours (index a moved by +-1);
+    a neighbour that is not a sorted 4-subset of range(m) does not count.
+    Tuples with a cyclic gap under gap_min are then dropped.
     """
     L = curve.length
     grid = np.arange(m) * (L / m)
     combos = _combinations4(m)
-    res, mean_side = _residuals_of_points(curve.point_at(grid)[combos])
-    norms = np.where(mean_side >= cfg.min_side, _norms(res, mean_side), np.inf)
+    pts = curve.point_at(grid)
+    n = combos.shape[0]
+    norms, keep = np.empty(n), np.empty(n, dtype=bool)
+    for lo in range(0, n, _BLOCK):
+        res, mean_side = _residuals_of_points(pts[combos[lo:lo + _BLOCK]])
+        norms[lo:lo + _BLOCK] = np.where(mean_side >= cfg.min_side, _norms(res, mean_side), np.inf)
+    # combos is lexicographic, so a tuple's rank is its row; moving entry a by
+    # +1 adds C(m-2-c_a, 3-a) to the rank, by -1 subtracts C(m-1-c_a, 3-a)
+    binom = np.array([[math.comb(x, 3 - a) for a in range(4)] for x in range(m)])
+    for lo in range(0, n, _BLOCK):
+        c, rank = combos[lo:lo + _BLOCK], np.arange(lo, min(lo + _BLOCK, n))
+        bounds = np.column_stack([np.full(rank.size, -1), c, np.full(rank.size, m)])
+        score = norms[rank]
+        ok = np.isfinite(score)
+        for a in range(4):
+            up = rank + binom[np.maximum(m - 2 - c[:, a], 0), a]
+            down = rank - binom[m - 1 - c[:, a], a]
+            ok &= score <= norms[np.where(c[:, a] + 1 < bounds[:, a + 2], up, rank)]
+            ok &= score <= norms[np.where(c[:, a] - 1 > bounds[:, a], down, rank)]
+        keep[lo:lo + _BLOCK] = ok
 
-    cube = np.full((m + 2,) * 4, np.inf)
-    cube[tuple(combos.T + 1)] = norms
-    del combos, res, mean_side, norms
-    core = cube[1:-1, 1:-1, 1:-1, 1:-1]
-    mask = np.isfinite(core)
-    for axis in range(4):
-        for off in (0, 2):
-            sl = [slice(1, -1)] * 4
-            sl[axis] = slice(off, off + m)
-            mask &= core <= cube[tuple(sl)]
-
-    params, norms = grid[np.argwhere(mask)], core[mask]
+    params, norms = grid[combos[keep]], norms[keep]
     keep = np.min(_cyclic_gaps(params, L), axis=1) >= cfg.gap_min
     return params[keep], norms[keep]
 
@@ -210,9 +215,9 @@ def seed_grid(curve: PolyCurve, config: Optional[SolverConfig] = None) -> np.nda
     grid that are grid-local minima of the normalized residual.
 
     Sorted index 4-subsets fix t1 to the first grid cell of each cyclic class,
-    so rotation duplicates never enter.  The local-minimum test and the
-    min_side and gap_min rules are those of brute_force_oracle, which shares
-    the grid-residual cube; there is no residual cutoff.
+    so rotation duplicates never enter.  The grid-local minima, with their
+    min_side and gap_min rules, are those brute_force_oracle keeps before
+    its residual cutoff; seeding has no cutoff.
     """
     cfg = (config or SolverConfig()).resolved(curve)
     return _grid_local_minima(curve, cfg.grid_m, cfg)[0]
@@ -253,7 +258,11 @@ def _refine_batch(curve: PolyCurve, seeds: np.ndarray, cfg: SolverConfig) -> lis
 
     Every seed runs its own damped least-squares update (per-seed damping,
     acceptance and stopping) in lock step with the others; batching only
-    amortizes the array overhead.
+    amortizes the array overhead.  Each iteration tries the damping ladder
+    lam * 10^j, j = 0..9 (built by repeated x10): rung 0 for every seed,
+    then rungs 1-9 at once for the seeds rung 0 did not improve.  A seed
+    takes its first improving rung and lam becomes max(rung lam / 3, 1e-12);
+    a seed that no rung improves has stalled and stops.
     """
     K = seeds.shape[0]
     if K == 0:
@@ -274,56 +283,50 @@ def _refine_batch(curve: PolyCurve, seeds: np.ndarray, cfg: SolverConfig) -> lis
         if idx.size == 0:
             break
         ta = t[idx]
-        probe = np.repeat(ta[:, None, :], 8, axis=1)
-        for i in range(4):
-            probe[:, 2 * i, i] += h
-            probe[:, 2 * i + 1, i] -= h
-        pres, _ = _eval_batch(curve, probe.reshape(-1, 4))
-        pres = pres.reshape(idx.size, 8, 4)
-        jac = np.empty((idx.size, 4, 4))
-        for i in range(4):
-            jac[:, :, i] = (pres[:, 2 * i] - pres[:, 2 * i + 1]) / (2.0 * h)
-
+        pres, _ = _eval_batch(curve, (ta[:, None, :] + h * _PROBE).reshape(-1, 4))
+        pres = pres.reshape(idx.size, 4, 2, 4)
+        # jac[a, r, i] = d res_r / d t_i, C-contiguous for the matmul's bits
+        jac = np.ascontiguousarray((pres[:, :, 0] - pres[:, :, 1]).transpose(0, 2, 1) / (2.0 * h))
         jt = jac.transpose(0, 2, 1)
         jtj = jt @ jac
         g = np.einsum("aij,aj->ai", jt, res[idx])
         diag = np.maximum(np.einsum("aii->ai", jtj), 1e-30)
 
+        ladder = np.cumprod(np.column_stack([lam[idx], np.full((idx.size, 9), 10.0)]), axis=1)
         pending = np.ones(idx.size, dtype=bool)
         accepted_step = np.zeros(idx.size)
-        for _trial in range(10):
+        for rungs in (slice(0, 1), slice(1, 10)):
             p = np.nonzero(pending)[0]
             if p.size == 0:
                 break
-            damp = jtj[p] + lam[idx[p], None, None] * (diag[p, :, None] * np.eye(4))
-            delta = np.empty((p.size, 4))
+            lams = ladder[p, rungs]
+            k = lams.shape[1]
+            damp = jtj[p, None] + lams[..., None, None] * (diag[p, None, :, None] * np.eye(4))
+            damp = damp.reshape(-1, 4, 4)
+            rhs = -np.repeat(g[p], k, axis=0)
             try:
-                delta = np.linalg.solve(damp, -g[p][..., None])[..., 0]
+                delta = np.linalg.solve(damp, rhs[..., None])[..., 0]
                 bad = ~np.all(np.isfinite(delta), axis=1)
             except np.linalg.LinAlgError:
-                bad = np.zeros(p.size, dtype=bool)
-                for j in range(p.size):
+                delta, bad = np.zeros_like(rhs), np.zeros(rhs.shape[0], dtype=bool)
+                for j in range(rhs.shape[0]):
                     try:
-                        delta[j] = np.linalg.solve(damp[j], -g[p[j]])
+                        delta[j] = np.linalg.solve(damp[j], rhs[j])
                     except np.linalg.LinAlgError:
                         bad[j] = True
-            t_new = np.mod(ta[p] + delta, L)
+            t_new = np.mod(np.repeat(ta[p], k, axis=0) + delta, L)
             res_new, ms_new = _eval_batch(curve, t_new)
             norm_new = _norms(res_new, ms_new)
-            improved = (norm_new < norm[idx[p]]) & ~bad
-
-            acc = p[improved]
-            if acc.size:
-                rows = idx[acc]
-                t[rows] = t_new[improved]
-                res[rows] = res_new[improved]
-                ms[rows] = ms_new[improved]
-                norm[rows] = norm_new[improved]
-                lam[rows] = np.maximum(lam[rows] / 3.0, 1e-12)
-                accepted_step[acc] = np.max(np.abs(delta[improved]), axis=1)
-                pending[acc] = False
-            rej = p[~improved]
-            lam[idx[rej]] *= 10.0
+            improved = ((norm_new < np.repeat(norm[idx[p]], k)) & ~bad).reshape(-1, k)
+            hit = np.any(improved, axis=1)
+            first = np.argmax(improved[hit], axis=1)
+            acc, pick = p[hit], np.nonzero(hit)[0] * k + first
+            rows = idx[acc]
+            t[rows], res[rows], ms[rows] = t_new[pick], res_new[pick], ms_new[pick]
+            norm[rows] = norm_new[pick]
+            lam[rows] = np.maximum(ladder[acc, rungs.start + first] / 3.0, 1e-12)
+            accepted_step[acc] = np.max(np.abs(delta[pick]), axis=1)
+            pending[acc] = False
 
         # seeds with no accepted trial have stalled; tiny accepted steps stop
         stalled = pending | (accepted_step < 1e-15 * L)
@@ -479,8 +482,9 @@ def find_quads(curve: PolyCurve, config: Optional[SolverConfig] = None,
 
 def brute_force_oracle(curve: PolyCurve, m: int = 24, tol: float = 0.3,
                        config: Optional[SolverConfig] = None) -> SolutionSet:
-    """Pure grid search: the grid-local minima that seed_grid refines, taken
-    on an m-point grid and kept when their normalized residual is <= tol.
+    """Pure grid search: the grid-local minima that seed_grid refines (each
+    sorted grid tuple no larger than its 8 axis neighbours), taken on an
+    m-point grid and kept when their normalized residual is <= tol.
     No refinement; used to cross-check find_quads.
 
     A genuine solution sitting between grid points can carry a normalized

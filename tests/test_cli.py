@@ -188,6 +188,17 @@ def test_analyze_rejects_tiny_step_before_allocating(tmp_path, capsys):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--tol", "nan", "find", "{curve}", "--grid-m", "8"], "residual_tol must be finite"),
+    (["--tol", "inf", "find", "{curve}", "--grid-m", "8"], "residual_tol must be finite"),
+    (["analyze", "{curve}", "--cap", "nan"], "cap must be finite and positive"),
+    (["analyze", "{curve}", "--step", "nan"], "step must be finite and positive"),
+])
+def test_non_finite_options_fail_with_a_message(circle_file, capsys, args, message):
+    assert run([a.format(curve=circle_file) for a in args]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_find_empty_solution_exit_code(tmp_path, circle_file):
     out = tmp_path / "sol.json"
     # an unreachable residual tolerance forces an empty set

@@ -283,6 +283,18 @@ def test_step_grid_bounded_per_edge():
     assert scan_windows(hept, cap=1e-3, step=hept.length / 11520) == []
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_cap_and_step_must_be_finite_and_positive(value):
+    sq = make_unit_square()
+    for name, call in (("cap", lambda: pi_distance(sq, mode="capped", cap=value)),
+                       ("step", lambda: pi_distance(sq, mode="literal", step=value)),
+                       ("step", lambda: pi_distance(sq, mode="capped", step=value)),
+                       ("cap", lambda: scan_windows(sq, cap=value, step=0.01)),
+                       ("step", lambda: scan_windows(sq, cap=2.0, step=value))):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            call()
+
+
 def test_pi_distance_deterministic():
     c = make_ellipse(2, 1, 128)
     r1 = pi_distance(c, mode="capped")

@@ -1,5 +1,6 @@
 """Tests for the inscribed-quadrilateral search."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -79,6 +80,76 @@ def test_seed_grid_covers_ellipse_square(ellipse, ellipse_solutions):
     assert best <= spacing
 
 
+def _cube_local_minima(curve, m, cfg):
+    """Seeding reference: the scores fill an (m+2)^4 cube padded with inf, and
+    a tuple is kept when its finite score is no larger than its 8 axis
+    neighbours in the cube."""
+    L = curve.length
+    grid = np.arange(m) * (L / m)
+    combos = solver._combinations4(m)
+    res, mean_side = solver._residuals_of_points(curve.point_at(grid)[combos])
+    norms = np.where(mean_side >= cfg.min_side, solver._norms(res, mean_side), np.inf)
+    cube = np.full((m + 2,) * 4, np.inf)
+    cube[tuple(combos.T + 1)] = norms
+    core = cube[1:-1, 1:-1, 1:-1, 1:-1]
+    mask = np.isfinite(core)
+    for axis in range(4):
+        for off in (0, 2):
+            sl = [slice(1, -1)] * 4
+            sl[axis] = slice(off, off + m)
+            mask &= core <= cube[tuple(sl)]
+    params, norms = grid[np.argwhere(mask)], core[mask]
+    keep = np.min(solver._cyclic_gaps(params, L), axis=1) >= cfg.gap_min
+    return params[keep], norms[keep]
+
+
+def _mean_sides(curve, m):
+    grid = np.arange(m) * (curve.length / m)
+    return solver._residuals_of_points(curve.point_at(grid)[solver._combinations4(m)])[1]
+
+
+def _strict_config(curve):
+    """min_side at the median grid side scores about half the tuples inf, and
+    gap_min at L/10 drops many of the minima left."""
+    return SolverConfig(min_side=float(np.median(_mean_sides(curve, 24))),
+                        gap_min=curve.length / 10.0)
+
+
+@pytest.mark.parametrize("block", [solver._BLOCK, 997])
+def test_rank_neighbours_match_the_dense_cube(corpus, monkeypatch, block):
+    monkeypatch.setattr(solver, "_BLOCK", block)
+    for name, curve in corpus.items():
+        for cfg in (SolverConfig(), _strict_config(curve)):
+            cfg = cfg.resolved(curve)
+            for m in (8, 9, 24, 33):
+                got, expected = solver._grid_local_minima(curve, m, cfg), \
+                    _cube_local_minima(curve, m, cfg)
+                assert np.array_equal(got[0], expected[0]), (name, m)
+                assert np.array_equal(got[1], expected[1]), (name, m)
+
+
+def test_strict_config_scores_inf_and_drops_tuples(corpus):
+    for name in ("ellipse512", "trefoil512"):
+        curve = corpus[name]
+        cfg = _strict_config(curve).resolved(curve)
+        assert 0.4 < np.mean(_mean_sides(curve, 24) < cfg.min_side) < 0.6, name
+        kept = len(_cube_local_minima(curve, 24, cfg)[0])
+        ungapped = len(_cube_local_minima(curve, 24, dataclasses.replace(cfg, gap_min=0.0))[0])
+        assert 0 < kept < ungapped, name
+
+
+def test_seed_grid_memory_at_the_largest_grid():
+    curve = make_trefoil(512)
+    tracemalloc.start()
+    try:
+        seeds = seed_grid(curve, SolverConfig(grid_m=solver._MAX_GRID_M))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(seeds) > 0
+    assert peak < 80 * 10**6
+
+
 # ---------------------------------------------------------------------------
 # refinement
 # ---------------------------------------------------------------------------
@@ -121,6 +192,129 @@ def test_batched_refinement_matches_per_seed_path(ellipse):
         assert sr == br
         if sp is not None:
             assert np.allclose(sp, bp, atol=1e-9)
+
+
+# Sequential reference of the damping ladder: each seed tries rung j
+# (lam * 10^j) only after rung j - 1 failed, one batched trial per rung.
+
+def _ref_refine_batch(curve, seeds, cfg):
+    K = seeds.shape[0]
+    L = curve.length
+    h = cfg.fd_step
+    target = 0.1 * cfg.residual_tol
+    t = np.mod(np.asarray(seeds, dtype=float), L)
+    res, ms = solver._eval_batch(curve, t)
+    norm = solver._norms(res, ms)
+    lam = np.full(K, 1e-3)
+    active = np.ones(K, dtype=bool)
+    for _ in range(cfg.max_iter):
+        active &= norm > target
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        ta = t[idx]
+        probe = np.repeat(ta[:, None, :], 8, axis=1)
+        for i in range(4):
+            probe[:, 2 * i, i] += h
+            probe[:, 2 * i + 1, i] -= h
+        pres = solver._eval_batch(curve, probe.reshape(-1, 4))[0].reshape(idx.size, 8, 4)
+        jac = np.empty((idx.size, 4, 4))
+        for i in range(4):
+            jac[:, :, i] = (pres[:, 2 * i] - pres[:, 2 * i + 1]) / (2.0 * h)
+        jt = jac.transpose(0, 2, 1)
+        jtj = jt @ jac
+        g = np.einsum("aij,aj->ai", jt, res[idx])
+        diag = np.maximum(np.einsum("aii->ai", jtj), 1e-30)
+        pending = np.ones(idx.size, dtype=bool)
+        accepted_step = np.zeros(idx.size)
+        for _trial in range(10):
+            p = np.nonzero(pending)[0]
+            if p.size == 0:
+                break
+            damp = jtj[p] + lam[idx[p], None, None] * (diag[p, :, None] * np.eye(4))
+            delta = np.linalg.solve(damp, -g[p][..., None])[..., 0]
+            bad = ~np.all(np.isfinite(delta), axis=1)
+            t_new = np.mod(ta[p] + delta, L)
+            res_new, ms_new = solver._eval_batch(curve, t_new)
+            norm_new = solver._norms(res_new, ms_new)
+            improved = (norm_new < norm[idx[p]]) & ~bad
+            acc, rows = p[improved], idx[p[improved]]
+            t[rows], res[rows], ms[rows] = t_new[improved], res_new[improved], ms_new[improved]
+            norm[rows] = norm_new[improved]
+            lam[rows] = np.maximum(lam[rows] / 3.0, 1e-12)
+            accepted_step[acc] = np.max(np.abs(delta[improved]), axis=1)
+            pending[acc] = False
+            lam[idx[p[~improved]]] *= 10.0
+        active[idx[pending | (accepted_step < 1e-15 * L)]] = False
+    gaps = solver._cyclic_gaps(t, L)
+    reasons = np.select(
+        [norm > cfg.residual_tol, ~solver._winds_once(gaps, L),
+         np.min(gaps, axis=1) < cfg.gap_min, ms < cfg.min_side],
+        ["diverged", "ordering_broken", "collapsed", "small_side"], "converged")
+    params = np.sort(np.mod(t, L), axis=1)
+    return [(p if r == "converged" else None, str(r)) for p, r in zip(params, reasons)]
+
+
+def _assert_same_outcomes(got, expected, label):
+    assert len(got) == len(expected), label
+    for (gp, gr), (ep, er) in zip(got, expected):
+        assert gr == er, label
+        assert (gp is None and ep is None) or np.array_equal(gp, ep), label
+
+
+def _ladder_cases(corpus):
+    curves = _gate_curves(corpus)
+    for name, curve in curves.items():
+        for m in (8, 24):
+            yield f"{name} m={m}", curve, m
+    for name in ("ellipse512", "triangle345"):
+        yield f"{name} m=48", curves[name], 48
+
+
+def test_batched_ladder_matches_sequential_trials(corpus):
+    for label, curve, m in _ladder_cases(corpus):
+        cfg = SolverConfig(grid_m=m).resolved(curve)
+        seeds = seed_grid(curve, cfg)
+        _assert_same_outcomes(solver._refine_batch(curve, seeds, cfg),
+                              _ref_refine_batch(curve, seeds, cfg), label)
+
+
+def test_ladder_falls_back_to_one_solve_per_row(corpus, monkeypatch):
+    real = np.linalg.solve
+
+    refused = []
+
+    def rowwise_only(a, b):
+        if np.ndim(a) > 2:
+            refused.append(len(a))
+            raise np.linalg.LinAlgError("stacked solve refused")
+        return real(a, b)
+
+    cases = [(name, corpus[name]) for name in ("ellipse512", "triangle345", "jordan42_64")]
+    expected = {}
+    for name, curve in cases:
+        cfg = SolverConfig(grid_m=8).resolved(curve)
+        expected[name] = solver._refine_batch(curve, seed_grid(curve, cfg), cfg)
+    monkeypatch.setattr(np.linalg, "solve", rowwise_only)
+    for name, curve in cases:
+        cfg = SolverConfig(grid_m=8).resolved(curve)
+        _assert_same_outcomes(solver._refine_batch(curve, seed_grid(curve, cfg), cfg),
+                              expected[name], name)
+    assert refused
+
+
+def test_ladder_rows_that_fail_to_solve_are_never_accepted(corpus, monkeypatch):
+    # every solve fails, so no seed moves: the outcome is that of the seeds
+    # themselves, as with no iteration at all
+    def singular(a, b):
+        raise np.linalg.LinAlgError("singular")
+
+    curve = corpus["ellipse512"]
+    cfg = SolverConfig(grid_m=8).resolved(curve)
+    seeds = seed_grid(curve, cfg)
+    expected = solver._refine_batch(curve, seeds, dataclasses.replace(cfg, max_iter=0))
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    _assert_same_outcomes(solver._refine_batch(curve, seeds, cfg), expected, "ellipse512")
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +607,14 @@ def test_config_validation():
         find_quads(c, SolverConfig(grid_m=4))
     with pytest.raises(ValueError, match="positive"):
         find_quads(c, SolverConfig(residual_tol=-1.0))
+
+
+@pytest.mark.parametrize("name", ["residual_tol", "dedup_tol", "gap_min", "min_side", "fd_step"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_fields(name, value):
+    c = make_circle(1.0, 60)
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        SolverConfig(**{name: value}).resolved(c)
 
 
 def test_grid_m_above_memory_bound_fails_before_allocating():
