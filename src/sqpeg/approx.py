@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import PolyCurve
+from .curve import PolyCurve, _check_positive
 
 __all__ = [
     "Segment",
@@ -127,8 +127,7 @@ class SmoothedCurve:
 
     def sample(self, step: float) -> PolyCurve:
         """Polygonal sampling at arclength spacing <= step."""
-        if step <= 0.0:
-            raise ValueError("step must be positive")
+        _check_positive("step", step)
         pts = []
         for piece in self.pieces:
             plen = piece.length
@@ -164,19 +163,17 @@ class SmoothedCurve:
         }
 
 
-def _fillet_corner(v_prev, v, v_next, radius):
-    """Arc replacing the corner at v, plus the trim length taken off each edge."""
+def _fillet_corner(v_prev, v, v_next, radius, alpha):
+    """Arc replacing the corner at v, which turns by alpha, plus the trim
+    length taken off each edge; no arc for alpha under 1e-15."""
+    if alpha < 1e-15:
+        return None, 0.0
     e_in = v - v_prev
     e_out = v_next - v
     len_in = np.linalg.norm(e_in)
     len_out = np.linalg.norm(e_out)
     d1 = e_in / len_in
     d2 = e_out / len_out
-    alpha = 2.0 * math.atan2(float(np.linalg.norm(d2 - d1)), float(np.linalg.norm(d2 + d1)))
-    if alpha >= math.pi - 1e-9:
-        raise ValueError("cusp")
-    if alpha < 1e-15:
-        return None, 0.0, alpha
 
     half = alpha / 2.0
     r = min(radius, 0.49 * min(len_in, len_out) / 2.0 / math.tan(half))
@@ -187,8 +184,7 @@ def _fillet_corner(v_prev, v, v_next, radius):
     center = v + (r / math.cos(half)) * w
     e1 = t1 - center
     e1 = e1 / np.linalg.norm(e1)
-    arc = Arc(center=center, radius=r, e1=e1, e2=d1, turning=alpha)
-    return arc, trim, alpha
+    return Arc(center=center, radius=r, e1=e1, e2=d1, turning=alpha), trim
 
 
 def fillet_smooth(poly: PolyCurve, radius: float) -> SmoothedCurve:
@@ -199,26 +195,21 @@ def fillet_smooth(poly: PolyCurve, radius: float) -> SmoothedCurve:
     / tan(angle/2), which keeps the two trims on any edge from overlapping.
     Corners within 1e-9 of a full reversal (cusps) cannot be rounded.
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    _check_positive("radius", radius)
     v = poly.vertices
     m = poly.num_vertices
-
-    if poly.closed:
-        corner_ids = list(range(m))
-    else:
-        corner_ids = list(range(1, m - 1))
+    # one turning angle per corner: every vertex if closed, else the interior
+    _, alphas = poly._atoms
+    corner_ids = range(m) if poly.closed else range(1, m - 1)
+    cusps = np.flatnonzero(alphas >= math.pi - 1e-9)
+    if cusps.size:
+        raise ValueError(f"cannot fillet a cusp at vertex {corner_ids[cusps[0]]}")
 
     arcs = {}
     trims = {}
     dropped = 0.0
-    for i in corner_ids:
-        prev_v = v[(i - 1) % m]
-        next_v = v[(i + 1) % m]
-        try:
-            arc, trim, alpha = _fillet_corner(prev_v, v[i], next_v, radius)
-        except ValueError:
-            raise ValueError(f"cannot fillet a cusp at vertex {i}") from None
+    for i, alpha in zip(corner_ids, alphas.tolist()):
+        arc, trim = _fillet_corner(v[(i - 1) % m], v[i], v[(i + 1) % m], radius, alpha)
         arcs[i] = arc
         trims[i] = trim
         if arc is None:
@@ -381,28 +372,26 @@ _PAIR_BLOCK = 1 << 18  # dyadic pairs measured per array pass
 
 
 def convergence_report(target: PolyCurve, approximant: PolyCurve,
-                       dyadic_depth: int = 6, position_samples: int = 4096,
-                       index: int = 0) -> ConvergenceReport:
+                       dyadic_depth: int = 6, index: int = 0) -> ConvergenceReport:
     """Measure how closely `approximant` tracks `target` in position,
     arclength, and curvature mass under arclength-fraction matching.
 
     Parameter a on the target corresponds to a * L_approx / L_target on the
-    approximant.  position_err is the sup over `position_samples` parameters;
-    the arc errors are maximized over all dyadic fraction pairs
-    [j/2^d, k/2^d] at the deepest level d = dyadic_depth.
+    approximant.  position_err is the exact sup of the matched-point
+    distance: between consecutive vertex fractions of either curve both are
+    affine in the fraction, so the distance is convex there and peaks at a
+    vertex fraction.  The arc errors are maximized over all dyadic fraction
+    pairs [j/2^d, k/2^d] at the deepest level d = dyadic_depth.
     """
     if dyadic_depth < 1:
         raise ValueError("dyadic_depth must be at least 1")
-    if position_samples < 2:
-        raise ValueError("position_samples must be at least 2")
     if target.closed != approximant.closed:
         raise ValueError("curves must be both open or both closed")
     lt, la = target.length, approximant.length
 
-    if target.closed:
-        fr = np.arange(position_samples) / position_samples
-    else:
-        fr = np.linspace(0.0, 1.0, position_samples)
+    # an open curve's last cumulative length can sum one ulp above its
+    # length, so the fractions are clamped to 1
+    fr = np.minimum(np.concatenate((target._knots / lt, approximant._knots / la)), 1.0)
     gap = target.point_at(fr * lt) - approximant.point_at(fr * la)
     position_err = float(np.max(np.linalg.norm(gap, axis=1)))
 

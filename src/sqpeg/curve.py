@@ -15,21 +15,48 @@ _EPS = 1e-12
 _CCW_ERR = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53  # Shewchuk's orient2d error bound
 
 
-def angle_between(u, v) -> float:
-    """Angle in [0, pi] between two vectors, accurate near both 0 and pi.
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive")
 
-    Uses 2*atan2(|a-b|, |a+b|) on the normalized vectors; acos(dot) loses
+
+def _check_nonnegative(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative")
+
+
+def _angles(u, v):
+    """Angles in [0, pi] between the paired rows of u and v (..., n).
+
+    Uses 2*atan2(|a-b|, |a+b|) on the normalized rows; acos(dot) loses
     precision exactly at the extremes, which cusp detection cares about.
+    Rows must be nonzero.
     """
+    a = u / np.linalg.norm(u, axis=-1, keepdims=True)
+    b = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    return 2.0 * np.arctan2(np.linalg.norm(a - b, axis=-1), np.linalg.norm(a + b, axis=-1))
+
+
+def angle_between(u, v) -> float:
+    """Angle in [0, pi] between two vectors, accurate near both 0 and pi."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
+    if np.linalg.norm(u) == 0.0 or np.linalg.norm(v) == 0.0:
         raise ValueError("angle undefined for zero vector")
-    a = u / nu
-    b = v / nv
-    return 2.0 * math.atan2(float(np.linalg.norm(a - b)), float(np.linalg.norm(a + b)))
+    return float(_angles(u[None], v[None])[0])
+
+
+def _cyclic_gaps(params, L) -> np.ndarray:
+    """Forward gaps t[i+1] - t[i] (mod L) of parameter tuples (..., k)."""
+    t = np.mod(params, L)
+    return np.mod(np.roll(t, -1, axis=-1) - t, L)
+
+
+def _winds_once(gaps, L) -> np.ndarray:
+    """Rows of cyclic gaps with no zero gap that sum to L (math.isclose at
+    rel_tol 1e-9): the tuple goes around the curve exactly once."""
+    total = np.sum(gaps, axis=-1)
+    return np.all(gaps != 0.0, axis=-1) & (np.abs(total - L) <= 1e-9 * np.maximum(np.abs(total), L))
 
 
 def segment_to_segments_distance(p0, p1, q0, q1):
@@ -199,33 +226,19 @@ class PolyCurve:
 
     def turning_angle(self, i: int) -> float:
         """Exterior angle in [0, pi] between the edges meeting at vertex i."""
-        m = self.num_vertices
+        _, ang = self._atoms
         if self.closed:
-            i = i % m
-            e_in = self._edge_vecs[(i - 1) % m]
-            e_out = self._edge_vecs[i]
-        else:
-            if i <= 0 or i >= m - 1:
-                raise ValueError("turning angle undefined at an open-curve endpoint")
-            e_in = self._edge_vecs[i - 1]
-            e_out = self._edge_vecs[i]
-        return angle_between(e_in, e_out)
+            return float(ang[i % self.num_vertices])
+        if i <= 0 or i >= self.num_vertices - 1:
+            raise ValueError("turning angle undefined at an open-curve endpoint")
+        return float(ang[i - 1])  # atoms are indexed from the first interior vertex
 
     @cached_property
     def _atoms(self):
         """(positions, angles) of the curvature atoms, one per corner vertex."""
         if self.closed:
-            e_in = np.roll(self._edge_vecs, 1, axis=0)
-            e_out = self._edge_vecs
-            pos = self.cum_len
-        else:
-            e_in = self._edge_vecs[:-1]
-            e_out = self._edge_vecs[1:]
-            pos = self.cum_len[1:-1]
-        u = e_in / np.linalg.norm(e_in, axis=1)[:, None]
-        w = e_out / np.linalg.norm(e_out, axis=1)[:, None]
-        ang = 2.0 * np.arctan2(np.linalg.norm(u - w, axis=1), np.linalg.norm(u + w, axis=1))
-        return pos, ang
+            return self.cum_len, _angles(np.roll(self._edge_vecs, 1, axis=0), self._edge_vecs)
+        return self.cum_len[1:-1], _angles(self._edge_vecs[:-1], self._edge_vecs[1:])
 
     @cached_property
     def _atom_prefix(self):
@@ -274,8 +287,7 @@ class PolyCurve:
 
     def detect_cusps(self, tol: float):
         """Vertex indices whose turning angle is within tol of a full reversal."""
-        if tol <= 0.0:
-            raise ValueError("tol must be positive")
+        _check_positive("tol", tol)
         _, ang = self._atoms
         hits = np.nonzero(ang >= math.pi - tol)[0]
         if not self.closed:
@@ -292,8 +304,7 @@ class PolyCurve:
         pair meeting by exact orientation signs fails at any clearance >= 0;
         in dimension 3 and up a crossing may compute to a distance above 0.
         """
-        if clearance < 0.0:
-            raise ValueError("clearance must be nonnegative")
+        _check_nonnegative("clearance", clearance)
         E = self.num_edges
         starts = self.vertices[:E]
         ends = starts + self._edge_vecs

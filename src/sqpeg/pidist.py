@@ -26,7 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .curve import PolyCurve, _ragged, segment_to_segments_distance
+from .curve import (PolyCurve, _check_positive, _cyclic_gaps, _ragged, _winds_once,
+                    segment_to_segments_distance)
 
 __all__ = [
     "CurvatureWindow",
@@ -101,11 +102,6 @@ class PiDistanceResult:
             "cap": self.cap,
             "resolution": self.resolution,
         }
-
-
-def _check_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and positive")
 
 
 def _check_step(curve: PolyCurve, step: float) -> None:
@@ -390,12 +386,11 @@ def verify_quad_arc_curvature(curve: PolyCurve, params, tol: float) -> bool:
         raise ValueError("params must be four arclength values")
     L = curve.length
     if curve.closed:
-        t = np.mod(t, L)
-        gaps = np.mod(np.roll(t, -1) - t, L)
-        if np.any(gaps == 0.0) or not math.isclose(float(np.sum(gaps)), L, rel_tol=1e-9):
+        gaps = _cyclic_gaps(t, L)
+        if not _winds_once(gaps, L):
             raise ValueError("params are not cyclically ordered")
-        span = float(np.sum(gaps[:3]))
-        kappa = curve.subarc_curvature(float(t[0]), float(t[0]) + span)
+        start = float(np.mod(t[0], L))
+        kappa = curve.subarc_curvature(start, start + float(np.sum(gaps[:3])))
     else:
         if np.any(np.diff(t) <= 0.0):
             raise ValueError("params are not cyclically ordered")

@@ -6,10 +6,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .curve import angle_between
+from .curve import _angles, _check_nonnegative
 
 __all__ = ["Quad", "QuadMetrics", "make_square_like"]
 
@@ -17,6 +18,90 @@ QUARTER_PI = math.pi / 4.0
 
 # row k lists the vertex triple omitting vertex k
 _TRIPLES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+# the vertex after each vertex: sides run pq, qr, rs, sp
+_NEXT = np.array([1, 2, 3, 0])
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel: every measurement of quads given as points (k, 4, n)
+# ---------------------------------------------------------------------------
+
+def _sides_and_residuals(pts):
+    """Side vectors pq, qr, rs, sp (k, 4, n), side lengths (k, 4), squared
+    diagonals |pr|^2, |qs|^2 (k, 2), residual (k, 4) and mean side (k,)."""
+    edges = pts[:, _NEXT] - pts
+    side_sq = np.einsum("kij,kij->ki", edges, edges)
+    diags = pts[:, 2:] - pts[:, :2]
+    diag_sq = np.einsum("kij,kij->ki", diags, diags)
+    res = np.empty_like(side_sq)
+    res[:, :3] = side_sq[:, :3] - side_sq[:, 1:]
+    res[:, 3] = diag_sq[:, 0] - diag_sq[:, 1]
+    sides = np.sqrt(side_sq)
+    return edges, sides, diag_sq, res, sides.sum(axis=1) / 4.0
+
+
+def _residuals_of_points(pts) -> tuple[np.ndarray, np.ndarray]:
+    """Residual 4-vector and mean side length for batched quads (k, 4, n)."""
+    *_, res, mean_side = _sides_and_residuals(np.asarray(pts, dtype=float))
+    return res, mean_side
+
+
+def _norms(res, mean_side) -> np.ndarray:
+    """max |residual component| / (mean side)^2 per row; inf at mean side 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.max(np.abs(res), axis=1) / (mean_side * mean_side)
+    return np.where(mean_side > 0.0, out, np.inf)
+
+
+def _thetas(ratio, tol: float = 1e-9) -> np.ndarray:
+    """arcsin(min(ratio, 1)) of ratios mean diagonal / (2 * mean side); nan
+    where the ratio exceeds 1 + tol, which no square-like quad realizes."""
+    return np.where(ratio <= 1.0 + tol, np.arcsin(np.minimum(ratio, 1.0)), np.nan)
+
+
+class _QuadRows(NamedTuple):
+    sides: np.ndarray          # (k, 4) |pq|, |qr|, |rs|, |sp|
+    diagonals: np.ndarray      # (k, 2) |pr|, |qs|
+    residual: np.ndarray       # (k, 4)
+    mean_side: np.ndarray      # (k,)
+    residual_norm: np.ndarray  # (k,)
+    ratio: np.ndarray          # (k,) mean diagonal / (2 * mean side)
+    theta: np.ndarray          # (k,) nan where not realizable
+    open_turning: np.ndarray   # (k,)
+
+
+def _measure(pts) -> _QuadRows:
+    """Sides, diagonals, residual and its norm, theta and open turning of
+    quads (k, 4, n)."""
+    edges, sides, diag_sq, res, mean_side = _sides_and_residuals(pts)
+    diags = np.sqrt(diag_sq)
+    ratio = diags.sum(axis=1) / 2.0 / (2.0 * mean_side)
+    return _QuadRows(
+        sides=sides,
+        diagonals=diags,
+        residual=res,
+        mean_side=mean_side,
+        residual_norm=_norms(res, mean_side),
+        ratio=ratio,
+        theta=_thetas(ratio),
+        # turning at q plus turning at r along the open chain p->q->r->s
+        open_turning=_angles(edges[:, :2], edges[:, 1:3]).sum(axis=1),
+    )
+
+
+def _defect_by_projection(tri, other) -> float:
+    u = tri[1] - tri[0]
+    w = tri[2] - tri[0]
+    # orthonormalize {u, w}, dropping a near-degenerate second direction
+    e1 = u / np.linalg.norm(u)
+    w_perp = w - np.dot(w, e1) * e1
+    nw = np.linalg.norm(w_perp)
+    d = other - tri[0]
+    proj = np.dot(d, e1) * e1
+    if nw > 1e-14 * np.linalg.norm(w):
+        e2 = w_perp / nw
+        proj = proj + np.dot(d, e2) * e2
+    return float(np.linalg.norm(d - proj))
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,23 +141,17 @@ class Quad:
     # -- elementary measurements ------------------------------------------
 
     @cached_property
-    def _squared_measures(self):
-        """(squared sides, squared diagonals), computed once per quad."""
-        pts = self.points
-        edges = np.roll(pts, -1, axis=0) - pts
-        side_sq = np.einsum("ij,ij->i", edges, edges)
-        d1 = self.r - self.p
-        d2 = self.s - self.q
-        diag_sq = np.array([float(d1 @ d1), float(d2 @ d2)])
-        return side_sq, diag_sq
+    def _rows(self) -> _QuadRows:
+        """The batched kernel's measurements of this one quad (k = 1)."""
+        return _measure(self.points[None])
 
     def side_lengths(self) -> np.ndarray:
         """|pq|, |qr|, |rs|, |sp|."""
-        return np.sqrt(self._squared_measures[0])
+        return self._rows.sides[0].copy()
 
     def diagonal_lengths(self) -> np.ndarray:
         """|pr|, |qs|."""
-        return np.sqrt(self._squared_measures[1])
+        return self._rows.diagonals[0].copy()
 
     def residual(self) -> np.ndarray:
         """(|pq|^2-|qr|^2, |qr|^2-|rs|^2, |rs|^2-|sp|^2, |pr|^2-|qs|^2).
@@ -81,18 +160,15 @@ class Quad:
         equal diagonals.  Squared distances keep the map smooth in the vertex
         coordinates, which the refinement solver relies on.
         """
-        sq, dq = self._squared_measures
-        return np.array([sq[0] - sq[1], sq[1] - sq[2], sq[2] - sq[3], dq[0] - dq[1]])
+        return self._rows.residual[0].copy()
 
     def residual_norm(self) -> float:
         """max |residual component| / (mean side)^2, dimensionless."""
-        mean_side = float(np.mean(self.side_lengths()))
-        return float(np.max(np.abs(self.residual()))) / (mean_side * mean_side)
+        return float(self._rows.residual_norm[0])
 
     def is_square_like(self, tol: float) -> bool:
         """True iff max |residual| <= tol * mean squared side."""
-        if tol < 0.0:
-            raise ValueError("tol must be nonnegative")
+        _check_nonnegative("tol", tol)
         mean_sq = float(np.mean(self.side_lengths() ** 2))
         return bool(np.max(np.abs(self.residual())) <= tol * mean_sq)
 
@@ -102,14 +178,13 @@ class Quad:
         For an exact square-like quad the diagonal is 2*sin(theta) times the
         side, so this inverts the relation; clamped to [0, pi/2].
         """
-        mean_side = float(np.mean(self.side_lengths()))
-        mean_diag = float(np.mean(self.diagonal_lengths()))
-        if mean_side <= 0.0:
+        rows = self._rows
+        if rows.mean_side[0] <= 0.0:
             raise ValueError("degenerate quad: zero mean side")
-        ratio = mean_diag / (2.0 * mean_side)
-        if ratio > 1.0 + tol:
-            raise ValueError(f"diagonal/(2*side) = {ratio:.6g} > 1: not realizable")
-        return math.asin(min(ratio, 1.0))
+        theta = float(_thetas(rows.ratio, tol)[0])
+        if math.isnan(theta):
+            raise ValueError(f"diagonal/(2*side) = {rows.ratio[0]:.6g} > 1: not realizable")
+        return theta
 
     def open_turning(self) -> float:
         """Turning at q plus turning at r along the open chain p->q->r->s.
@@ -117,68 +192,30 @@ class Quad:
         For an exact square-like quad this equals 2*pi - 4*theta, which is at
         least pi, with equality exactly for a planar square.
         """
-        return angle_between(self.q - self.p, self.r - self.q) + angle_between(
-            self.r - self.q, self.s - self.r
-        )
+        return float(self._rows.open_turning[0])
 
     def planarity_defect(self) -> float:
         """Distance of the fourth point from the affine span of the other three.
 
-        The most-spread triple (largest triangle area) is used as the base, so
-        the measure stays robust when three points are nearly collinear.
-        In dimension 2 the defect is 0 by convention.
+        The most-spread triple (largest triangle area, by its Gram
+        determinant) is used as the base, so the measure stays robust when
+        three points are nearly collinear.  In dimension 2 the defect is 0 by
+        convention.
         """
         if self.p.shape[0] == 2:
             return 0.0
-        pts = self.points
-        if self.p.shape[0] == 3:
-            tri = pts[_TRIPLES]
-            u = tri[:, 1] - tri[:, 0]
-            w = tri[:, 2] - tri[:, 0]
-            normals = np.cross(u, w)
-            norms_sq = np.einsum("ij,ij->i", normals, normals)
-            k = int(np.argmax(norms_sq))  # row k is the triple omitting point k
-            nk = math.sqrt(float(norms_sq[k]))
-            if nk <= 1e-14:
-                return self._defect_by_projection(tri[k], pts[k])
-            gap = pts[k] - tri[k, 0]
-            return float(abs(gap @ normals[k]) / nk)
-        best_area = -1.0
-        best = None
-        for drop in range(4):
-            tri = np.delete(pts, drop, axis=0)
-            u = tri[1] - tri[0]
-            w = tri[2] - tri[0]
-            g = np.dot(u, u) * np.dot(w, w) - np.dot(u, w) ** 2
-            area = math.sqrt(max(g, 0.0))
-            if area > best_area:
-                best_area = area
-                best = (tri, pts[drop])
-        tri, other = best
-        return self._defect_by_projection(tri, other)
-
-    def _defect_by_projection(self, tri, other) -> float:
-        u = tri[1] - tri[0]
-        w = tri[2] - tri[0]
-        # orthonormalize {u, w}, dropping a near-degenerate second direction
-        e1 = u / np.linalg.norm(u)
-        w_perp = w - np.dot(w, e1) * e1
-        nw = np.linalg.norm(w_perp)
-        d = other - tri[0]
-        proj = np.dot(d, e1) * e1
-        if nw > 1e-14 * np.linalg.norm(w):
-            e2 = w_perp / nw
-            proj = proj + np.dot(d, e2) * e2
-        return float(np.linalg.norm(d - proj))
+        tri = self.points[_TRIPLES]
+        u = tri[:, 1] - tri[:, 0]
+        w = tri[:, 2] - tri[:, 0]
+        uu, ww, uw = (np.einsum("ij,ij->i", x, y) for x, y in ((u, u), (w, w), (u, w)))
+        k = int(np.argmax(np.maximum(uu * ww - uw * uw, 0.0)))  # row k omits point k
+        return _defect_by_projection(tri[k], self.points[k])
 
     def is_planar_square(self, tol: float) -> bool:
         """Square-like, flat, and with theta at the planar extreme pi/4."""
-        if tol < 0.0:
-            raise ValueError("tol must be nonnegative")
         if not self.is_square_like(tol):
             return False
-        mean_side = float(np.mean(self.side_lengths()))
-        if self.planarity_defect() > tol * mean_side:
+        if self.planarity_defect() > tol * float(self._rows.mean_side[0]):
             return False
         try:
             th = self.theta()
@@ -187,17 +224,14 @@ class Quad:
         return abs(th - QUARTER_PI) <= tol
 
     def metrics(self) -> "QuadMetrics":
-        sides = self.side_lengths()
-        diags = self.diagonal_lengths()
-        ratio = float(np.mean(diags)) / (2.0 * float(np.mean(sides)))
-        theta = math.asin(min(ratio, 1.0)) if ratio <= 1.0 + 1e-9 else float("nan")
+        rows = self._rows
         return QuadMetrics(
-            sides=sides,
-            diagonals=diags,
-            theta=theta,
-            open_turning=self.open_turning(),
+            sides=self.side_lengths(),
+            diagonals=self.diagonal_lengths(),
+            theta=float(rows.theta[0]),
+            open_turning=float(rows.open_turning[0]),
             planarity_defect=self.planarity_defect(),
-            residual_norm=self.residual_norm(),
+            residual_norm=float(rows.residual_norm[0]),
         )
 
     def transformed(self, rotation=None, translation=None) -> "Quad":

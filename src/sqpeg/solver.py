@@ -15,9 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .curve import PolyCurve
+from .curve import PolyCurve, _check_positive, _cyclic_gaps, _winds_once
 from .pidist import verify_quad_arc_curvature
-from .quad import Quad
+from .quad import _measure, _norms, _residuals_of_points
 
 __all__ = [
     "SolverConfig",
@@ -39,7 +39,6 @@ _MAX_GRID_M = 64
 # reversal; row r of params[..., _RELABEL] is image r
 _RELABEL = np.array([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2],
                      [3, 2, 1, 0], [2, 1, 0, 3], [1, 0, 3, 2], [0, 3, 2, 1]])
-_NEXT = _RELABEL[1]
 # finite-difference probe directions: rows 2i and 2i + 1 move t_i by +1 and -1
 _PROBE = np.kron(np.eye(4), [[1.0], [-1.0]])
 # grid tuples scored per block while seeding
@@ -76,8 +75,7 @@ class SolverConfig:
         if cfg.grid_m > _MAX_GRID_M:
             raise ValueError(f"grid_m must be at most {_MAX_GRID_M} (memory grows as grid_m^4)")
         for name in ("max_iter", "residual_tol", "dedup_tol", "gap_min", "min_side", "fd_step"):
-            if not (math.isfinite(value := getattr(cfg, name)) and value > 0):
-                raise ValueError(f"{name} must be finite and positive")
+            _check_positive(name, getattr(cfg, name))
         return cfg
 
 
@@ -128,30 +126,11 @@ class SolutionSet:
 # residual evaluation
 # ---------------------------------------------------------------------------
 
-def _residuals_of_points(pts) -> tuple[np.ndarray, np.ndarray]:
-    """Residual 4-vector and mean side length for batched quads (k, 4, n)."""
-    pts = np.asarray(pts, dtype=float)
-    sides = pts[:, _NEXT] - pts
-    side_sq = np.einsum("kij,kij->ki", sides, sides)
-    diags = pts[:, 2:] - pts[:, :2]
-    diag_sq = np.einsum("kij,kij->ki", diags, diags)
-    res = np.empty_like(side_sq)
-    res[:, :3] = side_sq[:, :3] - side_sq[:, 1:]
-    res[:, 3] = diag_sq[:, 0] - diag_sq[:, 1]
-    return res, np.sqrt(side_sq).sum(axis=1) / 4.0
-
-
 def _eval_batch(curve: PolyCurve, params) -> tuple[np.ndarray, np.ndarray]:
     """params (k, 4) -> (residuals (k, 4), mean sides (k,))."""
     params = np.atleast_2d(np.asarray(params, dtype=float))
     pts = curve.point_at(params.reshape(-1)).reshape(params.shape[0], 4, -1)
     return _residuals_of_points(pts)
-
-
-def _norms(res, mean_side) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.max(np.abs(res), axis=1) / (mean_side * mean_side)
-    return np.where(mean_side > 0.0, out, np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -226,18 +205,6 @@ def seed_grid(curve: PolyCurve, config: Optional[SolverConfig] = None) -> np.nda
 # ---------------------------------------------------------------------------
 # refinement
 # ---------------------------------------------------------------------------
-
-def _cyclic_gaps(params, L) -> np.ndarray:
-    t = np.mod(params, L)
-    return np.mod(np.roll(t, -1, axis=-1) - t, L)
-
-
-def _winds_once(gaps, L) -> np.ndarray:
-    """Rows of cyclic gaps with no zero gap that sum to L (math.isclose at
-    rel_tol 1e-9): the tuple goes around the curve exactly once."""
-    total = np.sum(gaps, axis=-1)
-    return np.all(gaps != 0.0, axis=-1) & (np.abs(total - L) <= 1e-9 * np.maximum(np.abs(total), L))
-
 
 def refine(curve: PolyCurve, seed, config: Optional[SolverConfig] = None):
     """Damped least-squares refinement of one seed tuple.
@@ -392,25 +359,11 @@ def _snap_to_grid(curve: PolyCurve, params: np.ndarray, cfg: SolverConfig) -> np
 # top-level search
 # ---------------------------------------------------------------------------
 
-def _attach(curve: PolyCurve, params: np.ndarray) -> QuadSolution:
-    pts = curve.point_at(params)
-    quad = Quad.from_points(pts)
-    met = quad.metrics()
+def _arc_kappa_ok(curve: PolyCurve, params: np.ndarray) -> bool:
     try:
-        arc_ok = verify_quad_arc_curvature(curve, params, _ARC_KAPPA_TOL)
+        return verify_quad_arc_curvature(curve, params, _ARC_KAPPA_TOL)
     except ValueError:
-        arc_ok = False
-    return QuadSolution(
-        params=params,
-        points=pts,
-        sides=met.sides,
-        diagonals=met.diagonals,
-        theta=met.theta,
-        open_turning=met.open_turning,
-        residual=quad.residual(),
-        residual_norm=met.residual_norm,
-        arc_kappa_ok=arc_ok,
-    )
+        return False
 
 
 def _detect_non_generic(reps: np.ndarray, L, tol) -> bool:
@@ -439,6 +392,36 @@ def parity_report(solutions: SolutionSet) -> str:
     return _parity_text(len(solutions.solutions), solutions.non_generic)
 
 
+def _solution_set(curve: PolyCurve, reps: np.ndarray, raw_count: int, note_prefix: str,
+                  dedup_tol: float, resolution: dict) -> SolutionSet:
+    """Annotate the class representatives reps (k, 4) in one array pass and
+    wrap them with their count, parity note and non-generic flag."""
+    pts = curve.point_at(reps.reshape(-1)).reshape(reps.shape[0], 4, curve.dimension)
+    rows = _measure(pts)
+    solutions = [
+        QuadSolution(
+            params=params,
+            points=pts[i],
+            sides=rows.sides[i],
+            diagonals=rows.diagonals[i],
+            theta=float(rows.theta[i]),
+            open_turning=float(rows.open_turning[i]),
+            residual=rows.residual[i],
+            residual_norm=float(rows.residual_norm[i]),
+            arc_kappa_ok=_arc_kappa_ok(curve, params),
+        )
+        for i, params in enumerate(reps)
+    ]
+    non_generic = _detect_non_generic(reps, curve.length, dedup_tol)
+    return SolutionSet(
+        solutions=solutions,
+        raw_count=raw_count,
+        parity_note=note_prefix + _parity_text(len(solutions), non_generic),
+        non_generic=non_generic,
+        resolution=resolution,
+    )
+
+
 def find_quads(curve: PolyCurve, config: Optional[SolverConfig] = None,
                threads: int = 1) -> SolutionSet:
     """Full search: seed, refine, validate, snap, deduplicate, annotate.
@@ -460,20 +443,11 @@ def find_quads(curve: PolyCurve, config: Optional[SolverConfig] = None,
     # greedy classes in (t1, t2, t3, t4) order; the first member represents each
     accepted = accepted[np.lexsort(accepted.T[::-1])]
     reps = accepted[_greedy_classes(accepted, curve.length, cfg.dedup_tol)]
-    solutions = [_attach(curve, params) for params in reps]
-    non_generic = _detect_non_generic(reps, curve.length, cfg.dedup_tol)
-    note = _parity_text(len(solutions), non_generic)
-    return SolutionSet(
-        solutions=solutions,
-        raw_count=len(accepted),
-        parity_note=note,
-        non_generic=non_generic,
-        resolution={
-            "grid_m": cfg.grid_m,
-            "dedup_tol": cfg.dedup_tol,
-            "residual_tol": cfg.residual_tol,
-        },
-    )
+    return _solution_set(curve, reps, len(accepted), "", cfg.dedup_tol, {
+        "grid_m": cfg.grid_m,
+        "dedup_tol": cfg.dedup_tol,
+        "residual_tol": cfg.residual_tol,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -507,12 +481,5 @@ def brute_force_oracle(curve: PolyCurve, m: int = 24, tol: float = 0.3,
     reps = cands[_greedy_classes(cands, L, cfg.dedup_tol)]
     reps = reps[np.lexsort(reps.T[::-1])]
 
-    solutions = [_attach(curve, params) for params in reps]
-    non_generic = _detect_non_generic(reps, L, cfg.dedup_tol)
-    return SolutionSet(
-        solutions=solutions,
-        raw_count=len(cands),
-        parity_note="oracle scan: " + _parity_text(len(solutions), non_generic),
-        non_generic=non_generic,
-        resolution={"oracle_m": m, "tol": tol, "dedup_tol": cfg.dedup_tol},
-    )
+    return _solution_set(curve, reps, len(cands), "oracle scan: ", cfg.dedup_tol,
+                         {"oracle_m": m, "tol": tol, "dedup_tol": cfg.dedup_tol})

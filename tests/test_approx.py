@@ -256,6 +256,22 @@ def test_fillet_requires_positive_radius():
         fillet_smooth(make_unit_square(), 0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_fillet_and_sample_reject_non_finite_lengths(value):
+    with pytest.raises(ValueError, match="radius must be finite and positive"):
+        fillet_smooth(make_unit_square(), value)
+    with pytest.raises(ValueError, match="step must be finite and positive"):
+        fillet_smooth(make_unit_square(), 0.1).sample(value)
+
+
+def test_fillet_arcs_turn_by_the_corner_atoms():
+    for poly in (make_ellipse(2, 1, 24), PolyCurve(np.random.default_rng(2).standard_normal((7, 3)),
+                                                   closed=False)):
+        arcs = [p for p in fillet_smooth(poly, 0.05).pieces if isinstance(p, Arc)]
+        # a closed curve's pieces are rotated to start with a segment
+        assert sorted(a.turning for a in arcs) == sorted(poly._atoms[1].tolist())
+
+
 def test_smoothed_curve_json_shape():
     sm = fillet_smooth(make_unit_square(), 0.1)
     data = sm.to_json_dict()
@@ -537,6 +553,47 @@ def test_convergence_position_error_matches_sagitta():
         rep = convergence_report(target, inscribe_polygon(target, n), dyadic_depth=3)
         sagitta = 1.0 - math.cos(math.pi / n)
         assert abs(rep.position_err - sagitta) <= 0.1 * sagitta
+
+
+def _gap_norms(target, approximant, fr):
+    gap = target.point_at(fr * target.length) - approximant.point_at(fr * approximant.length)
+    return np.linalg.norm(gap, axis=1)
+
+
+@pytest.mark.parametrize("name", ["ellipse-filleted", "square-octagon", "square-rolled",
+                                  "square-seam-rounding", "open-3d", "ellipse-n64"])
+def test_position_error_is_the_exact_sup(name):
+    target, approximant = {**_convergence_cases(), "ellipse-n64": (
+        make_ellipse(2, 1, 512), fillet_smooth(inscribe_polygon(make_ellipse(2, 1, 512), 64),
+                                               0.05).sample(0.01))}[name]
+    exact = convergence_report(target, approximant, dyadic_depth=1).position_err
+    sampled = (np.arange(4096) / 4096 if target.closed else np.linspace(0.0, 1.0, 4096))
+    assert exact >= float(np.max(_gap_norms(target, approximant, sampled)))
+    # the matched distance is convex between breakpoints, so a dense sample
+    # that holds every breakpoint peaks at one of them
+    breaks = np.concatenate((target._knots / target.length,
+                             approximant._knots / approximant.length))
+    dense = np.concatenate((breaks, np.linspace(0.0, 1.0, 20001)))
+    assert exact == float(np.max(_gap_norms(target, approximant, dense)))
+
+
+def test_position_error_on_open_curve_whose_last_knot_overshoots():
+    # an open curve whose sequential cumulative length ends one ulp above
+    # its pairwise-summed length: the last vertex fraction exceeds 1
+    for seed in range(1000):
+        rng = np.random.default_rng(seed)
+        target = PolyCurve(rng.standard_normal((12, 3)), closed=False)
+        if target.cum_len[-1] > target.length:
+            break
+    else:
+        pytest.fail("no overshooting open curve in 1000 seeds")
+    approximant = PolyCurve(target.vertices[::2] + 0.01 * rng.standard_normal((6, 3)),
+                            closed=False)
+    exact = convergence_report(target, approximant, dyadic_depth=1).position_err
+    breaks = np.minimum(np.concatenate((target._knots / target.length,
+                                        approximant._knots / approximant.length)), 1.0)
+    dense = np.concatenate((breaks, np.linspace(0.0, 1.0, 20001)))
+    assert exact == float(np.max(_gap_norms(target, approximant, dense)))
 
 
 def _convergence_cases():

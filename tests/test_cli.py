@@ -193,6 +193,12 @@ def test_analyze_rejects_tiny_step_before_allocating(tmp_path, capsys):
     (["--tol", "inf", "find", "{curve}", "--grid-m", "8"], "residual_tol must be finite"),
     (["analyze", "{curve}", "--cap", "nan"], "cap must be finite and positive"),
     (["analyze", "{curve}", "--step", "nan"], "step must be finite and positive"),
+    (["--tol", "nan", "analyze", "{curve}"], "tol must be finite and positive"),
+    (["analyze", "{curve}", "--clearance", "nan"], "clearance must be finite and nonnegative"),
+    (["converge", "{curve}", "--n-list", "8", "--grid-m", "8", "--fillet-radius", "nan"],
+     "radius must be finite and positive"),
+    (["converge", "{curve}", "--n-list", "8", "--grid-m", "8", "--fillet-radius", "0.05",
+      "--resample-step", "nan"], "step must be finite and positive"),
 ])
 def test_non_finite_options_fail_with_a_message(circle_file, capsys, args, message):
     assert run([a.format(curve=circle_file) for a in args]) == 1

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import random_star_polygon
-from sqpeg.curve import PolyCurve, angle_between, segment_to_segments_distance
+from sqpeg.curve import PolyCurve, _angles, angle_between, segment_to_segments_distance
 from sqpeg.generators import (
     make_circle,
     make_random_jordan,
@@ -180,6 +180,46 @@ def test_angle_between_accuracy_near_extremes():
     assert angle_between([1.0, 0.0], [-1.0, 1e-9]) == pytest.approx(math.pi - 1e-9, abs=1e-15)
 
 
+def test_angle_between_rejects_zero_vectors():
+    for u, v in (([0.0, 0.0], [1.0, 0.0]), ([1.0, 0.0, 2.0], [0.0, 0.0, 0.0])):
+        with pytest.raises(ValueError, match="zero vector"):
+            angle_between(u, v)
+
+
+def _angle_reference(u, v):
+    """Scalar 2*atan2(|a-b|, |a+b|) of the normalized vectors, in plain floats."""
+    nu, nv = math.sqrt(sum(x * x for x in u)), math.sqrt(sum(x * x for x in v))
+    a, b = [x / nu for x in u], [x / nv for x in v]
+    return 2.0 * math.atan2(math.dist(a, b), math.hypot(*(x + y for x, y in zip(a, b))))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_angle_kernel_matches_scalar_reference(dim):
+    rng = np.random.default_rng(dim)
+    u = rng.standard_normal((200, dim)) * rng.uniform(1e-3, 1e3, (200, 1))
+    v = rng.standard_normal((200, dim)) * rng.uniform(1e-3, 1e3, (200, 1))
+    # near 0 and near pi: e0 against e0 and -e0, each tilted by 1e-9
+    e0, tilt = np.eye(dim)[0], 1e-9 * np.eye(dim)[1]
+    u[:2] = e0
+    v[:2] = e0 + tilt, -e0 + tilt
+    got = _angles(u, v)
+    ref = np.array([_angle_reference(a, b) for a, b in zip(u.tolist(), v.tolist())])
+    assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
+    assert got[0] == pytest.approx(1e-9, rel=1e-6)
+    assert got[1] == pytest.approx(math.pi - 1e-9, abs=1e-15)
+    assert [angle_between(a, b) for a, b in zip(u, v)] == got.tolist()
+    assert _angles(u.reshape(10, 20, dim), v.reshape(10, 20, dim)).tolist() == \
+        got.reshape(10, 20).tolist()
+
+
+def test_turning_angles_are_the_curvature_atoms():
+    rng = np.random.default_rng(4)
+    for closed in (True, False):
+        poly = PolyCurve(rng.standard_normal((9, 3)), closed=closed)
+        corners = range(9) if closed else range(1, 8)
+        assert [poly.turning_angle(i) for i in corners] == poly._atoms[1].tolist()
+
+
 def test_total_curvature_regular_ngons():
     for n in (3, 4, 7, 12, 100, 360):
         poly = make_regular_polygon(n)
@@ -282,6 +322,12 @@ def test_detect_cusps_requires_positive_tol():
         make_unit_square().detect_cusps(0.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_detect_cusps_rejects_non_finite_tol(tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        make_unit_square().detect_cusps(tol)
+
+
 # ---------------------------------------------------------------------------
 # embeddedness
 # ---------------------------------------------------------------------------
@@ -307,6 +353,12 @@ def test_is_embedded_clearance_semantics():
 def test_is_embedded_rejects_negative_clearance():
     with pytest.raises(ValueError):
         make_unit_square().is_embedded(-1.0)
+
+
+@pytest.mark.parametrize("clearance", [math.nan, math.inf])
+def test_is_embedded_rejects_non_finite_clearance(clearance):
+    with pytest.raises(ValueError, match="clearance must be finite and nonnegative"):
+        make_unit_square().is_embedded(clearance)
 
 
 def reference_is_embedded(curve, clearance):

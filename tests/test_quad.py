@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import random_rotation
+from sqpeg import quad
 from sqpeg.quad import Quad, make_square_like
 
 TETRA = [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]
@@ -178,3 +179,97 @@ def test_json_roundtrip():
     q = make_square_like(0.5)
     back = Quad.from_json_dict(q.to_json_dict())
     assert np.allclose(back.points, q.points)
+
+
+# ---------------------------------------------------------------------------
+# planarity defect against the earlier per-dimension formulas
+# ---------------------------------------------------------------------------
+
+def _defect_by_projection_reference(tri, other):
+    u, w = tri[1] - tri[0], tri[2] - tri[0]
+    e1 = u / np.linalg.norm(u)
+    w_perp = w - np.dot(w, e1) * e1
+    nw = np.linalg.norm(w_perp)
+    d = other - tri[0]
+    proj = np.dot(d, e1) * e1
+    if nw > 1e-14 * np.linalg.norm(w):
+        proj = proj + np.dot(d, w_perp / nw) * (w_perp / nw)
+    return float(np.linalg.norm(d - proj))
+
+
+def _planarity_defect_reference(pts):
+    """Cross-product distance in dimension 3, largest-area triple by
+    np.delete and projection above it."""
+    if pts.shape[1] == 3:
+        tri = pts[[[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]]
+        normals = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+        norms_sq = np.einsum("ij,ij->i", normals, normals)
+        k = int(np.argmax(norms_sq))
+        nk = math.sqrt(float(norms_sq[k]))
+        if nk <= 1e-14:
+            return _defect_by_projection_reference(tri[k], pts[k])
+        return float(abs((pts[k] - tri[k, 0]) @ normals[k]) / nk)
+    best_area, best = -1.0, None
+    for drop in range(4):
+        tri = np.delete(pts, drop, axis=0)
+        u, w = tri[1] - tri[0], tri[2] - tri[0]
+        area = math.sqrt(max(np.dot(u, u) * np.dot(w, w) - np.dot(u, w) ** 2, 0.0))
+        if area > best_area:
+            best_area, best = area, (tri, pts[drop])
+    return _defect_by_projection_reference(*best)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_planarity_defect_matches_reference(dim):
+    rng = np.random.default_rng(dim)
+    for scale in (1e-3, 1.0, 1e3):
+        for _ in range(100):
+            pts = scale * rng.standard_normal((4, dim))
+            if rng.uniform() < 0.3:  # nearly planar: the fourth point near the others' plane
+                pts[3] = pts[0] + 0.7 * (pts[1] - pts[0]) - 0.4 * (pts[2] - pts[0]) \
+                    + 1e-9 * scale * rng.standard_normal(dim)
+            got = Quad.from_points(pts).planarity_defect()
+            assert abs(got - _planarity_defect_reference(pts)) <= 1e-12 * scale
+    flat = np.zeros((4, dim))
+    flat[:, :2] = [[0, 0], [1, 0], [1, 1], [0, 1]]
+    assert Quad.from_points(flat).planarity_defect() == 0.0
+
+
+def test_planarity_defect_zero_in_the_plane():
+    assert Quad.from_points([[0, 0], [1, 0], [1, 1], [0, 2]]).planarity_defect() == 0.0
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_square_tests_refuse_invalid_tolerances(tol):
+    q = make_square_like(math.pi / 4.0, dim=2)
+    for test in (q.is_square_like, q.is_planar_square):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            test(tol)
+
+
+def test_accessors_return_arrays_the_caller_owns():
+    q = Quad.from_points(np.random.default_rng(3).standard_normal((4, 3)))
+    sides, diags = q.side_lengths(), q.diagonal_lengths()
+    for arr in (q.side_lengths(), q.diagonal_lengths(), q.residual(),
+                q.metrics().sides, q.metrics().diagonals):
+        arr[:] = -1.0
+    assert q.side_lengths().tolist() == sides.tolist()
+    assert q.metrics().diagonals.tolist() == diags.tolist()
+
+
+def test_single_quad_measures_are_rows_of_the_batched_kernel():
+    rng = np.random.default_rng(8)
+    pts = rng.standard_normal((6, 4, 3))
+    rows = quad._measure(pts)
+    for i, p in enumerate(pts):
+        q = Quad.from_points(p)
+        met = q.metrics()
+        assert q.side_lengths().tolist() == rows.sides[i].tolist() == met.sides.tolist()
+        assert q.diagonal_lengths().tolist() == rows.diagonals[i].tolist()
+        assert q.residual().tolist() == rows.residual[i].tolist()
+        assert q.residual_norm() == rows.residual_norm[i] == met.residual_norm
+        assert q.open_turning() == rows.open_turning[i] == met.open_turning
+        assert q.theta() == rows.theta[i] == met.theta
+    res, mean_side = quad._residuals_of_points(pts)
+    assert res.tolist() == rows.residual.tolist()
+    assert mean_side.tolist() == rows.mean_side.tolist()

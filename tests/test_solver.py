@@ -486,6 +486,52 @@ def test_post_refinement_matches_scalar_reference(corpus, monkeypatch):
             assert np.array_equal(s.params, rp), name
 
 
+def _quad_reference(points):
+    """(sides, diagonals, theta, open turning, residual norm) of one quad by
+    the per-quad formulas the batched annotation replaced: diagonals by dot
+    products, theta by math.asin, the turning by two scalar angles."""
+    pts = np.asarray(points)
+    edges = np.roll(pts, -1, axis=0) - pts
+    side_sq = np.einsum("ij,ij->i", edges, edges)
+    d1, d2 = pts[2] - pts[0], pts[3] - pts[1]
+    diag_sq = np.array([float(d1 @ d1), float(d2 @ d2)])
+    sides, diags = np.sqrt(side_sq), np.sqrt(diag_sq)
+    res = np.append(side_sq[:3] - side_sq[1:], diag_sq[0] - diag_sq[1])
+    mean_side = float(np.mean(sides))
+    ratio = float(np.mean(diags)) / (2.0 * mean_side)
+    theta = math.asin(min(ratio, 1.0)) if ratio <= 1.0 + 1e-9 else math.nan
+
+    def angle(u, v):
+        a, b = u / np.linalg.norm(u), v / np.linalg.norm(v)
+        return 2.0 * math.atan2(float(np.linalg.norm(a - b)), float(np.linalg.norm(a + b)))
+
+    turning = angle(edges[0], edges[1]) + angle(edges[1], edges[2])
+    return sides, diags, theta, turning, float(np.max(np.abs(res))) / (mean_side * mean_side)
+
+
+def test_solution_annotation_matches_per_quad_reference(corpus):
+    def within_ulps(got, ref, n=4):
+        got, ref = np.atleast_1d(got), np.atleast_1d(ref)
+        return bool(np.all(np.abs(got - ref) <= n * np.spacing(np.abs(ref))))
+
+    for name, curve in _gate_curves(corpus).items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sets = [(find_quads(curve, SolverConfig(grid_m=m)), SolverConfig().residual_tol)
+                    for m in (8, 24, 48)]
+        sets.append((brute_force_oracle(curve, 24, 0.3), 0.3))
+        for solset, tol in sets:
+            for s in solset.solutions:
+                sides, diags, theta, turning, residual = _quad_reference(s.points)
+                assert np.array_equal(s.sides, sides), name
+                assert within_ulps(s.diagonals, diags), name
+                assert within_ulps(s.theta, theta), name
+                assert within_ulps(s.open_turning, turning), name
+                assert abs(s.residual_norm - residual) <= 1e-15, name
+                assert s.residual_norm <= tol, name
+                assert np.array_equal(s.points, curve.point_at(s.params)), name
+
+
 def _quartile_seed_grid(curve, config=None):
     """Seeding before grid-local minima: every grid tuple that passes
     gap_min, then the best quartile of their normalized residuals."""
