@@ -186,7 +186,7 @@ def _cmd_find(args) -> int:
     cfg = SolverConfig(grid_m=args.grid_m, max_iter=args.max_iter)
     if args.tol is not None:
         cfg.residual_tol = args.tol
-    solset = find_quads(curve, cfg, threads=args.threads)
+    solset = find_quads(curve, cfg)
     _emit(_dumps(solset.to_json_dict()), args.out)
     if args.csv:
         _emit(_csv_text(_SOLUTION_HEADER, _solution_rows(solset)), args.csv)
@@ -213,7 +213,7 @@ def _cmd_converge(args) -> int:
                 else smooth.length() / max(4 * n, 64)
             approx = smooth.sample(step)
         rep = convergence_report(curve, approx, dyadic_depth=args.dyadic_depth, index=n)
-        solset = find_quads(approx, cfg, threads=args.threads)
+        solset = find_quads(approx, cfg)
         if solset.solutions:
             min_side = min(float(np.mean(s.sides)) for s in solset.solutions)
         else:
@@ -255,8 +255,6 @@ def _cmd_frechet(args) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sqpeg", description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="random seed (generators)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; the solver runs on one thread")
     parser.add_argument("--tol", type=float, default=None,
                         help="context tolerance (cusp angle for analyze, residual for find)")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")

@@ -190,7 +190,13 @@ class PolyCurve:
         modulo L.  point_at(cum_len[i]) reproduces vertices[i] exactly.
         """
         scalar = np.isscalar(s) or np.ndim(s) == 0
-        s = np.atleast_1d(self.normalize_param(s))
+        _, pts = self._locate(np.atleast_1d(s))
+        return pts[0] if scalar else pts
+
+    def _locate(self, s):
+        """(edge index, point_at) of the 1-d parameters s by one search; a
+        vertex takes the edge that leaves it (an open curve's end, the last)."""
+        s = self.normalize_param(s)
         idx = np.searchsorted(self._knots, s, side="right") - 1
         idx = np.clip(idx, 0, self.num_edges - 1)
         local = s - self.cum_len[idx]
@@ -204,7 +210,7 @@ class PolyCurve:
         exact = frac == 0.0
         if np.any(exact):
             pts[exact] = self.vertices[idx[exact]]
-        return pts[0] if scalar else pts
+        return idx, pts
 
     def arc_length(self, a, b):
         """Length of the directed arc from a forward to b (wrapping if closed).

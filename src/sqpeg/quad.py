@@ -18,8 +18,10 @@ QUARTER_PI = math.pi / 4.0
 
 # row k lists the vertex triple omitting vertex k
 _TRIPLES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-# the vertex after each vertex: sides run pq, qr, rs, sp
-_NEXT = np.array([1, 2, 3, 0])
+# chord c runs from vertex _TAIL[c] to _HEAD[c]: sides pq, qr, rs, sp, diagonals pr, qs
+_TAIL, _HEAD = np.array([0, 1, 2, 3, 0, 1]), np.array([1, 2, 3, 0, 2, 3])
+# residual r is |chord _PLUS[r]|^2 - |chord _MINUS[r]|^2
+_PLUS, _MINUS = np.array([0, 1, 2, 4]), np.array([1, 2, 3, 5])
 
 
 # ---------------------------------------------------------------------------
@@ -27,17 +29,22 @@ _NEXT = np.array([1, 2, 3, 0])
 # ---------------------------------------------------------------------------
 
 def _sides_and_residuals(pts):
-    """Side vectors pq, qr, rs, sp (k, 4, n), side lengths (k, 4), squared
-    diagonals |pr|^2, |qs|^2 (k, 2), residual (k, 4) and mean side (k,)."""
-    edges = pts[:, _NEXT] - pts
-    side_sq = np.einsum("kij,kij->ki", edges, edges)
-    diags = pts[:, 2:] - pts[:, :2]
-    diag_sq = np.einsum("kij,kij->ki", diags, diags)
-    res = np.empty_like(side_sq)
-    res[:, :3] = side_sq[:, :3] - side_sq[:, 1:]
-    res[:, 3] = diag_sq[:, 0] - diag_sq[:, 1]
-    sides = np.sqrt(side_sq)
-    return edges, sides, diag_sq, res, sides.sum(axis=1) / 4.0
+    """Chord vectors (k, 6, n), side lengths (k, 4), squared diagonals
+    |pr|^2, |qs|^2 (k, 2), residual (k, 4) and mean side (k,)."""
+    chords = pts[:, _HEAD] - pts[:, _TAIL]
+    chord_sq = np.einsum("kij,kij->ki", chords, chords)
+    res = chord_sq[:, _PLUS] - chord_sq[:, _MINUS]
+    sides = np.sqrt(chord_sq[:, :4])
+    return chords, sides, chord_sq[:, 4:], res, sides.sum(axis=1) / 4.0
+
+
+def _residual_jacobian(chords, tangents) -> np.ndarray:
+    """d res_r / d t_i (k, 4, 4) of quads with chords (k, 6, n) whose vertex
+    i moves with unit velocity tangents[:, i] (k, 4, n) as t_i grows: exact
+    on a polygon, where a vertex is affine along its edge, as chord c gives
+    d|c|^2/dt_head = 2 c.u_head and d|c|^2/dt_tail = -2 c.u_tail."""
+    grad = 2.0 * np.einsum("kcj,kij->kci", chords, tangents) * (np.eye(4)[_HEAD] - np.eye(4)[_TAIL])
+    return grad[:, _PLUS] - grad[:, _MINUS]
 
 
 def _residuals_of_points(pts) -> tuple[np.ndarray, np.ndarray]:
@@ -73,7 +80,7 @@ class _QuadRows(NamedTuple):
 def _measure(pts) -> _QuadRows:
     """Sides, diagonals, residual and its norm, theta and open turning of
     quads (k, 4, n)."""
-    edges, sides, diag_sq, res, mean_side = _sides_and_residuals(pts)
+    chords, sides, diag_sq, res, mean_side = _sides_and_residuals(pts)
     diags = np.sqrt(diag_sq)
     ratio = diags.sum(axis=1) / 2.0 / (2.0 * mean_side)
     return _QuadRows(
@@ -85,7 +92,7 @@ def _measure(pts) -> _QuadRows:
         ratio=ratio,
         theta=_thetas(ratio),
         # turning at q plus turning at r along the open chain p->q->r->s
-        open_turning=_angles(edges[:, :2], edges[:, 1:3]).sum(axis=1),
+        open_turning=_angles(chords[:, :2], chords[:, 1:3]).sum(axis=1),
     )
 
 

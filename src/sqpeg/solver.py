@@ -9,15 +9,16 @@ of the quadrilateral (cyclic shifts and reversal).
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .curve import PolyCurve, _check_positive, _cyclic_gaps, _winds_once
 from .pidist import verify_quad_arc_curvature
-from .quad import _measure, _norms, _residuals_of_points
+from .quad import _measure, _norms, _residual_jacobian, _residuals_of_points, _sides_and_residuals
 
 __all__ = [
     "SolverConfig",
@@ -39,17 +40,15 @@ _MAX_GRID_M = 64
 # reversal; row r of params[..., _RELABEL] is image r
 _RELABEL = np.array([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2],
                      [3, 2, 1, 0], [2, 1, 0, 3], [1, 0, 3, 2], [0, 3, 2, 1]])
-# finite-difference probe directions: rows 2i and 2i + 1 move t_i by +1 and -1
-_PROBE = np.kron(np.eye(4), [[1.0], [-1.0]])
 # grid tuples scored per block while seeding
 _BLOCK = 1 << 16
 
 
 @dataclass
 class SolverConfig:
-    """Knobs for the inscribed-quad search.  Length-scale fields left as None
-    are resolved against the curve: dedup_tol = L/grid_m, gap_min = L/512,
-    min_side = L/1000, fd_step = L/(16*grid_m)."""
+    """Knobs for the inscribed-quad search.  grid_m and max_iter are
+    integers.  Length-scale fields left as None are resolved against the
+    curve: dedup_tol = L/grid_m, gap_min = L/512, min_side = L/1000."""
 
     grid_m: int = 24
     max_iter: int = 60
@@ -57,26 +56,29 @@ class SolverConfig:
     dedup_tol: Optional[float] = None
     gap_min: Optional[float] = None
     min_side: Optional[float] = None
-    fd_step: Optional[float] = None
 
     def resolved(self, curve: PolyCurve) -> "SolverConfig":
+        _check_integer("grid_m", self.grid_m)
+        _check_integer("max_iter", self.max_iter)
         L = curve.length
-        cfg = SolverConfig(
-            grid_m=self.grid_m,
-            max_iter=self.max_iter,
-            residual_tol=self.residual_tol,
+        cfg = replace(
+            self,
             dedup_tol=self.dedup_tol if self.dedup_tol is not None else L / self.grid_m,
             gap_min=self.gap_min if self.gap_min is not None else L / 512.0,
             min_side=self.min_side if self.min_side is not None else L / 1000.0,
-            fd_step=self.fd_step if self.fd_step is not None else L / (16.0 * self.grid_m),
         )
         if cfg.grid_m < 8:
             raise ValueError("grid_m must be at least 8")
         if cfg.grid_m > _MAX_GRID_M:
             raise ValueError(f"grid_m must be at most {_MAX_GRID_M} (memory grows as grid_m^4)")
-        for name in ("max_iter", "residual_tol", "dedup_tol", "gap_min", "min_side", "fd_step"):
+        for name in ("max_iter", "residual_tol", "dedup_tol", "gap_min", "min_side"):
             _check_positive(name, getattr(cfg, name))
         return cfg
+
+
+def _check_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -126,11 +128,18 @@ class SolutionSet:
 # residual evaluation
 # ---------------------------------------------------------------------------
 
+def _eval_cells(curve: PolyCurve, params):
+    """params (k, 4) -> (chords (k, 6, n), residuals (k, 4), mean sides (k,),
+    unit tangents (k, 4, n) of the edges the points lie on, as _locate picks)."""
+    idx, pts = curve._locate(params.reshape(-1))
+    shape = params.shape + (curve.dimension,)
+    chords, _, _, res, mean_side = _sides_and_residuals(pts.reshape(shape))
+    return chords, res, mean_side, (curve._edge_vecs[idx] / curve._edge_lens[idx, None]).reshape(shape)
+
+
 def _eval_batch(curve: PolyCurve, params) -> tuple[np.ndarray, np.ndarray]:
     """params (k, 4) -> (residuals (k, 4), mean sides (k,))."""
-    params = np.atleast_2d(np.asarray(params, dtype=float))
-    pts = curve.point_at(params.reshape(-1)).reshape(params.shape[0], 4, -1)
-    return _residuals_of_points(pts)
+    return _eval_cells(curve, np.atleast_2d(np.asarray(params, dtype=float)))[1:3]
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +220,9 @@ def refine(curve: PolyCurve, seed, config: Optional[SolverConfig] = None):
 
     Returns (params, "converged") with params sorted ascending in [0, L), or
     (None, reason) with reason in {diverged, collapsed, ordering_broken,
-    small_side}.  The Jacobian uses central finite differences: the residual
-    is only piecewise smooth in the parameters on a polygonal curve, and the
-    smoothing step keeps damping stable across edge crossings.
+    small_side}; residual_tol is tested on the returned tuple.  Each step
+    uses the exact Jacobian of the cells the parameters lie in (their
+    polygon edges), where the residual is quadratic in the parameters.
     """
     cfg = (config or SolverConfig()).resolved(curve)
     return _refine_batch(curve, np.asarray(seed, dtype=float).reshape(1, 4), cfg)[0]
@@ -235,11 +244,10 @@ def _refine_batch(curve: PolyCurve, seeds: np.ndarray, cfg: SolverConfig) -> lis
     if K == 0:
         return []
     L = curve.length
-    h = cfg.fd_step
     target = 0.1 * cfg.residual_tol
 
     t = np.mod(np.asarray(seeds, dtype=float), L)
-    res, ms = _eval_batch(curve, t)
+    chords, res, ms, tangents = _eval_cells(curve, t)
     norm = _norms(res, ms)
     lam = np.full(K, 1e-3)
     active = np.ones(K, dtype=bool)
@@ -250,10 +258,7 @@ def _refine_batch(curve: PolyCurve, seeds: np.ndarray, cfg: SolverConfig) -> lis
         if idx.size == 0:
             break
         ta = t[idx]
-        pres, _ = _eval_batch(curve, (ta[:, None, :] + h * _PROBE).reshape(-1, 4))
-        pres = pres.reshape(idx.size, 4, 2, 4)
-        # jac[a, r, i] = d res_r / d t_i, C-contiguous for the matmul's bits
-        jac = np.ascontiguousarray((pres[:, :, 0] - pres[:, :, 1]).transpose(0, 2, 1) / (2.0 * h))
+        jac = _residual_jacobian(chords[idx], tangents[idx])
         jt = jac.transpose(0, 2, 1)
         jtj = jt @ jac
         g = np.einsum("aij,aj->ai", jt, res[idx])
@@ -282,14 +287,15 @@ def _refine_batch(curve: PolyCurve, seeds: np.ndarray, cfg: SolverConfig) -> lis
                     except np.linalg.LinAlgError:
                         bad[j] = True
             t_new = np.mod(np.repeat(ta[p], k, axis=0) + delta, L)
-            res_new, ms_new = _eval_batch(curve, t_new)
+            chords_new, res_new, ms_new, tangents_new = _eval_cells(curve, t_new)
             norm_new = _norms(res_new, ms_new)
             improved = ((norm_new < np.repeat(norm[idx[p]], k)) & ~bad).reshape(-1, k)
             hit = np.any(improved, axis=1)
             first = np.argmax(improved[hit], axis=1)
             acc, pick = p[hit], np.nonzero(hit)[0] * k + first
             rows = idx[acc]
-            t[rows], res[rows], ms[rows] = t_new[pick], res_new[pick], ms_new[pick]
+            t[rows], res[rows] = t_new[pick], res_new[pick]
+            chords[rows], tangents[rows] = chords_new[pick], tangents_new[pick]
             norm[rows] = norm_new[pick]
             lam[rows] = np.maximum(ladder[acc, rungs.start + first] / 3.0, 1e-12)
             accepted_step[acc] = np.max(np.abs(delta[pick]), axis=1)
@@ -299,12 +305,14 @@ def _refine_batch(curve: PolyCurve, seeds: np.ndarray, cfg: SolverConfig) -> lis
         stalled = pending | (accepted_step < 1e-15 * L)
         active[idx[stalled]] = False
 
+    # the sorted tuple, a relabeling when it winds once, is tested and reported
+    params = np.sort(np.mod(t, L), axis=1)
+    res, ms = _eval_batch(curve, params)
     gaps = _cyclic_gaps(t, L)
     reasons = np.select(
-        [norm > cfg.residual_tol, ~_winds_once(gaps, L),
+        [_norms(res, ms) > cfg.residual_tol, ~_winds_once(gaps, L),
          np.min(gaps, axis=1) < cfg.gap_min, ms < cfg.min_side],
         ["diverged", "ordering_broken", "collapsed", "small_side"], "converged")
-    params = np.sort(np.mod(t, L), axis=1)
     return [(p if r == "converged" else None, str(r)) for p, r in zip(params, reasons)]
 
 
@@ -422,13 +430,11 @@ def _solution_set(curve: PolyCurve, reps: np.ndarray, raw_count: int, note_prefi
     )
 
 
-def find_quads(curve: PolyCurve, config: Optional[SolverConfig] = None,
-               threads: int = 1) -> SolutionSet:
+def find_quads(curve: PolyCurve, config: Optional[SolverConfig] = None) -> SolutionSet:
     """Full search: seed, refine, validate, snap, deduplicate, annotate.
 
     The curve must be closed; a warning (not an error) is issued when it is
-    not embedded, since the search itself needs no embeddedness.  threads is
-    accepted for compatibility; the search runs on one thread.
+    not embedded, since the search itself needs no embeddedness.
     """
     if not curve.closed:
         raise ValueError("find_quads requires a closed curve")
@@ -465,10 +471,10 @@ def brute_force_oracle(curve: PolyCurve, m: int = 24, tol: float = 0.3,
     residual up to ~(L/m)/side, so tol must stay loose at coarse m; the
     default suits m = 24 on curves whose quadrilaterals span the curve.
     """
-    if m > 48:
-        raise ValueError("oracle grid capped at m = 48 (O(m^4) tuples)")
-    if m < 8:
-        raise ValueError("oracle grid needs m >= 8")
+    _check_integer("m", m)
+    _check_positive("tol", tol)
+    if not 8 <= m <= 48:
+        raise ValueError("oracle grid needs 8 <= m <= 48 (O(m^4) tuples)")
     cfg = (config or SolverConfig()).resolved(curve)
     L = curve.length
     cands, norms = _grid_local_minima(curve, m, cfg)

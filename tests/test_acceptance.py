@@ -333,22 +333,22 @@ def test_criterion_12_cli_determinism(tmp_path):
         jordan = tmp_path / f"jordan_{tag}.json"
         circle = tmp_path / f"circle_{tag}.json"
         return [
-            (["--seed", "42", "--threads", "4", "--out", str(jordan),
+            (["--seed", "42", "--out", str(jordan),
               "generate", "random_jordan", "--samples", "64"], jordan),
-            (["--seed", "42", "--threads", "4", "--out", str(circle),
+            (["--seed", "42", "--out", str(circle),
               "generate", "circle", "--samples", "72"], circle),
-            (["--seed", "42", "--threads", "4", "--out",
+            (["--seed", "42", "--out",
               str(tmp_path / f"analyze_{tag}.json"), "analyze", str(square)],
              tmp_path / f"analyze_{tag}.json"),
-            (["--seed", "42", "--threads", "4", "--out",
+            (["--seed", "42", "--out",
               str(tmp_path / f"find_{tag}.json"), "find", str(jordan),
               "--csv", str(tmp_path / f"find_{tag}.csv")],
              tmp_path / f"find_{tag}.json"),
-            (["--seed", "42", "--threads", "4", "--out",
+            (["--seed", "42", "--out",
               str(tmp_path / f"conv_{tag}.csv"), "converge", str(circle),
               "--n-list", "8,12", "--grid-m", "12", "--dyadic-depth", "4"],
              tmp_path / f"conv_{tag}.csv"),
-            (["--seed", "42", "--threads", "4", "--out",
+            (["--seed", "42", "--out",
               str(tmp_path / f"frechet_{tag}.json"), "frechet", str(circle),
               str(circle)], tmp_path / f"frechet_{tag}.json"),
         ]

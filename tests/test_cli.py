@@ -150,6 +150,18 @@ def test_find_ellipse_flagship(tmp_path):
     assert math.isclose(side, 4.0 / math.sqrt(5.0), abs_tol=1e-4)
 
 
+def test_find_reports_no_residual_above_its_tol(tmp_path):
+    # at 3 iterations a trefoil tuple converges just under the tol in the
+    # order refinement ran; the reported, sorted tuple must also be under it
+    trefoil, out = tmp_path / "trefoil.json", tmp_path / "sols.json"
+    assert run(["--out", str(trefoil), "generate", "trefoil", "--samples", "512"]) == 0
+    assert run(["--tol", "1e-4", "--out", str(out), "find", str(trefoil), "--max-iter", "3"]) == 0
+    data = read_json(out)
+    assert data["resolution"]["residual_tol"] == 1e-4
+    assert data["solutions"]
+    assert all(s["residual"] <= 1e-4 for s in data["solutions"])
+
+
 def test_find_open_curve_rejected(tmp_path, capsys):
     src = tmp_path / "open.json"
     src.write_text(json.dumps({

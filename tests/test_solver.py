@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sqpeg import solver
 from sqpeg.curve import PolyCurve
@@ -19,7 +21,7 @@ from sqpeg.generators import (
     make_trefoil,
     make_unit_square,
 )
-from sqpeg.quad import Quad
+from sqpeg.quad import Quad, _residual_jacobian
 from sqpeg.solver import (
     SolverConfig,
     brute_force_oracle,
@@ -195,12 +197,13 @@ def test_batched_refinement_matches_per_seed_path(ellipse):
 
 
 # Sequential reference of the damping ladder: each seed tries rung j
-# (lam * 10^j) only after rung j - 1 failed, one batched trial per rung.
+# (lam * 10^j) only after rung j - 1 failed, one batched trial per rung.  Its
+# job is the ladder order: it takes the same cell Jacobian as the solver, but
+# from its own evaluation of the current iterate.
 
 def _ref_refine_batch(curve, seeds, cfg):
     K = seeds.shape[0]
     L = curve.length
-    h = cfg.fd_step
     target = 0.1 * cfg.residual_tol
     t = np.mod(np.asarray(seeds, dtype=float), L)
     res, ms = solver._eval_batch(curve, t)
@@ -213,14 +216,8 @@ def _ref_refine_batch(curve, seeds, cfg):
         if idx.size == 0:
             break
         ta = t[idx]
-        probe = np.repeat(ta[:, None, :], 8, axis=1)
-        for i in range(4):
-            probe[:, 2 * i, i] += h
-            probe[:, 2 * i + 1, i] -= h
-        pres = solver._eval_batch(curve, probe.reshape(-1, 4))[0].reshape(idx.size, 8, 4)
-        jac = np.empty((idx.size, 4, 4))
-        for i in range(4):
-            jac[:, :, i] = (pres[:, 2 * i] - pres[:, 2 * i + 1]) / (2.0 * h)
+        chords, _, _, tangents = solver._eval_cells(curve, ta)
+        jac = _residual_jacobian(chords, tangents)
         jt = jac.transpose(0, 2, 1)
         jtj = jt @ jac
         g = np.einsum("aij,aj->ai", jt, res[idx])
@@ -239,12 +236,95 @@ def _ref_refine_batch(curve, seeds, cfg):
             norm_new = solver._norms(res_new, ms_new)
             improved = (norm_new < norm[idx[p]]) & ~bad
             acc, rows = p[improved], idx[p[improved]]
-            t[rows], res[rows], ms[rows] = t_new[improved], res_new[improved], ms_new[improved]
+            t[rows], res[rows] = t_new[improved], res_new[improved]
             norm[rows] = norm_new[improved]
             lam[rows] = np.maximum(lam[rows] / 3.0, 1e-12)
             accepted_step[acc] = np.max(np.abs(delta[improved]), axis=1)
             pending[acc] = False
             lam[idx[p[~improved]]] *= 10.0
+        active[idx[pending | (accepted_step < 1e-15 * L)]] = False
+    params = np.sort(np.mod(t, L), axis=1)
+    res, ms = solver._eval_batch(curve, params)
+    gaps = solver._cyclic_gaps(t, L)
+    reasons = np.select(
+        [solver._norms(res, ms) > cfg.residual_tol, ~solver._winds_once(gaps, L),
+         np.min(gaps, axis=1) < cfg.gap_min, ms < cfg.min_side],
+        ["diverged", "ordering_broken", "collapsed", "small_side"], "converged")
+    return [(p if r == "converged" else None, str(r)) for p, r in zip(params, reasons)]
+
+
+# Finite-difference reference of the refinement, as it was before the cell
+# Jacobian: central differences over the 8 probes t_i +- h, h = L/(16*grid_m),
+# and residual_tol tested on the unsorted iterate.
+
+_PROBE = np.kron(np.eye(4), [[1.0], [-1.0]])
+
+
+def _fd_jacobian(curve, t, h):
+    """jac[a, r, i] = d res_r / d t_i by central differences at step h."""
+    pres = solver._eval_batch(curve, (t[:, None, :] + h * _PROBE).reshape(-1, 4))[0]
+    pres = pres.reshape(t.shape[0], 4, 2, 4)
+    return np.ascontiguousarray((pres[:, :, 0] - pres[:, :, 1]).transpose(0, 2, 1) / (2.0 * h))
+
+
+def _fd_refine_batch(curve, seeds, cfg):
+    K = seeds.shape[0]
+    if K == 0:
+        return []
+    L = curve.length
+    h = L / (16.0 * cfg.grid_m)
+    target = 0.1 * cfg.residual_tol
+    t = np.mod(np.asarray(seeds, dtype=float), L)
+    res, ms = solver._eval_batch(curve, t)
+    norm = solver._norms(res, ms)
+    lam = np.full(K, 1e-3)
+    active = np.ones(K, dtype=bool)
+    for _ in range(cfg.max_iter):
+        active &= norm > target
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        ta = t[idx]
+        jac = _fd_jacobian(curve, ta, h)
+        jt = jac.transpose(0, 2, 1)
+        jtj = jt @ jac
+        g = np.einsum("aij,aj->ai", jt, res[idx])
+        diag = np.maximum(np.einsum("aii->ai", jtj), 1e-30)
+        ladder = np.cumprod(np.column_stack([lam[idx], np.full((idx.size, 9), 10.0)]), axis=1)
+        pending = np.ones(idx.size, dtype=bool)
+        accepted_step = np.zeros(idx.size)
+        for rungs in (slice(0, 1), slice(1, 10)):
+            p = np.nonzero(pending)[0]
+            if p.size == 0:
+                break
+            lams = ladder[p, rungs]
+            k = lams.shape[1]
+            damp = jtj[p, None] + lams[..., None, None] * (diag[p, None, :, None] * np.eye(4))
+            damp = damp.reshape(-1, 4, 4)
+            rhs = -np.repeat(g[p], k, axis=0)
+            try:
+                delta = np.linalg.solve(damp, rhs[..., None])[..., 0]
+                bad = ~np.all(np.isfinite(delta), axis=1)
+            except np.linalg.LinAlgError:
+                delta, bad = np.zeros_like(rhs), np.zeros(rhs.shape[0], dtype=bool)
+                for j in range(rhs.shape[0]):
+                    try:
+                        delta[j] = np.linalg.solve(damp[j], rhs[j])
+                    except np.linalg.LinAlgError:
+                        bad[j] = True
+            t_new = np.mod(np.repeat(ta[p], k, axis=0) + delta, L)
+            res_new, ms_new = solver._eval_batch(curve, t_new)
+            norm_new = solver._norms(res_new, ms_new)
+            improved = ((norm_new < np.repeat(norm[idx[p]], k)) & ~bad).reshape(-1, k)
+            hit = np.any(improved, axis=1)
+            first = np.argmax(improved[hit], axis=1)
+            acc, pick = p[hit], np.nonzero(hit)[0] * k + first
+            rows = idx[acc]
+            t[rows], res[rows], ms[rows] = t_new[pick], res_new[pick], ms_new[pick]
+            norm[rows] = norm_new[pick]
+            lam[rows] = np.maximum(ladder[acc, rungs.start + first] / 3.0, 1e-12)
+            accepted_step[acc] = np.max(np.abs(delta[pick]), axis=1)
+            pending[acc] = False
         active[idx[pending | (accepted_step < 1e-15 * L)]] = False
     gaps = solver._cyclic_gaps(t, L)
     reasons = np.select(
@@ -315,6 +395,60 @@ def test_ladder_rows_that_fail_to_solve_are_never_accepted(corpus, monkeypatch):
     expected = solver._refine_batch(curve, seeds, dataclasses.replace(cfg, max_iter=0))
     monkeypatch.setattr(np.linalg, "solve", singular)
     _assert_same_outcomes(solver._refine_batch(curve, seeds, cfg), expected, "ellipse512")
+
+
+def _cell_jacobian(curve, t):
+    chords, _, _, tangents = solver._eval_cells(curve, t)
+    return _residual_jacobian(chords, tangents)
+
+
+def _edges_of(curve, t):
+    return curve._locate(np.ravel(t))[0].reshape(np.shape(t))
+
+
+def _assert_jacobians_agree(got, ref, label, rel=1e-6):
+    scale = np.max(np.abs(ref), axis=(1, 2))
+    assert np.all(scale > 0.0), label
+    assert np.all(np.max(np.abs(got - ref), axis=(1, 2)) <= rel * scale), label
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cell_jacobian_matches_central_differences_inside_cells(dim):
+    # the residual is quadratic in each cell, so central differences whose
+    # probes stay in the cell are exact up to rounding
+    rng = np.random.default_rng(83 + dim)
+    for trial in range(20):
+        curve = PolyCurve(rng.normal(size=(int(rng.integers(3, 16)), dim)), closed=True)
+        edges = rng.integers(0, curve.num_edges, (16, 4))
+        t = curve.cum_len[edges] + rng.uniform(0.1, 0.9, (16, 4)) * curve._edge_lens[edges]
+        h = 1e-4 * float(np.min(curve._edge_lens))
+        for probe in (t - h, t + h):
+            assert np.array_equal(_edges_of(curve, probe), edges), trial
+        fd = np.empty((16, 4, 4))
+        for i in range(4):
+            step = h * np.eye(4)[i]
+            up, down = solver._eval_batch(curve, t + step)[0], solver._eval_batch(curve, t - step)[0]
+            fd[:, :, i] = (up - down) / (2.0 * h)
+        _assert_jacobians_agree(_cell_jacobian(curve, t), fd, (dim, trial))
+
+
+def test_cell_jacobian_matches_the_fd_step_jacobian_on_gate_seeds(corpus):
+    # on the dense curves the step L/384 is longer than an edge, so only the
+    # coarse polygons (square, triangle345, the random Jordan curves) have
+    # seeds whose probes all stay in their cells
+    compared = 0
+    for name, curve in _gate_curves(corpus).items():
+        cfg = SolverConfig().resolved(curve)
+        seeds = seed_grid(curve, cfg)
+        h = curve.length / (16.0 * cfg.grid_m)
+        edges = _edges_of(curve, seeds)
+        inside = np.all((_edges_of(curve, seeds - h) == edges)
+                        & (_edges_of(curve, seeds + h) == edges), axis=1)
+        if np.any(inside):
+            t = seeds[inside]
+            _assert_jacobians_agree(_cell_jacobian(curve, t), _fd_jacobian(curve, t, h), name)
+            compared += int(np.sum(inside))
+    assert compared >= 100
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +522,10 @@ def test_find_quads_deterministic_and_thread_invariant():
     jc = make_random_jordan(128, seed=5)
     a = find_quads(jc)
     b = find_quads(jc)
-    c = find_quads(jc, threads=4)
-    for other in (b, c):
-        assert len(a.solutions) == len(other.solutions)
-        assert a.raw_count == other.raw_count
-        for s, t in zip(a.solutions, other.solutions):
-            assert np.array_equal(s.params, t.params)
+    assert len(a.solutions) == len(b.solutions)
+    assert a.raw_count == b.raw_count
+    for s, t in zip(a.solutions, b.solutions):
+        assert np.array_equal(s.params, t.params)
 
 
 # Scalar reference of the post-refinement stage: each converged tuple is
@@ -456,10 +588,10 @@ def _gate_curves(corpus):
     return curves
 
 
-def _find_quietly(curve):
+def _find_quietly(curve, config=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return find_quads(curve)
+        return find_quads(curve, config)
 
 
 def test_post_refinement_matches_scalar_reference(corpus, monkeypatch):
@@ -530,6 +662,50 @@ def test_solution_annotation_matches_per_quad_reference(corpus):
                 assert abs(s.residual_norm - residual) <= 1e-15, name
                 assert s.residual_norm <= tol, name
                 assert np.array_equal(s.points, curve.point_at(s.params)), name
+
+
+def _assert_same_classes(new, old, L, label):
+    assert len(new.solutions) == len(old.solutions), label
+    assert new.non_generic == old.non_generic, label
+    assert new.parity_note == old.parity_note, label
+    for ours, theirs in ((new, old), (old, new)):
+        for a in ours.solutions:
+            d = min(symmetry_distance(a.params, b.params, L) for b in theirs.solutions)
+            assert d <= 1e-8 * L, label
+
+
+def test_cell_jacobian_keeps_the_finite_difference_solution_sets(corpus, monkeypatch):
+    def with_both_refinements(run):
+        new = run()
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "_refine_batch", _fd_refine_batch)
+            return new, run()
+
+    for name, curve in _gate_curves(corpus).items():
+        for m in (8, 24, 48):
+            new, old = with_both_refinements(lambda: _find_quietly(curve, SolverConfig(grid_m=m)))
+            _assert_same_classes(new, old, curve.length, f"{name} grid_m={m}")
+        # the oracle refines nothing, so it must come out the same either way
+        new, old = with_both_refinements(lambda: brute_force_oracle(curve, 24, 0.3))
+        _assert_same_classes(new, old, curve.length, f"{name} oracle")
+
+
+def test_every_reported_residual_is_within_residual_tol(corpus):
+    # a short iteration budget leaves tuples converged just under the tol in
+    # the order refinement ran, and the sorted tuple is the one reported
+    for name, curve in _gate_curves(corpus).items():
+        for max_iter in range(3, 9):
+            cfg = SolverConfig(max_iter=max_iter, residual_tol=1e-4)
+            for s in _find_quietly(curve, cfg).solutions:
+                assert s.residual_norm <= cfg.residual_tol, (name, max_iter)
+
+
+@given(st.integers(0, 2**16), st.integers(2, 8), st.sampled_from([1e-9, 1e-6, 1e-4]))
+def test_reported_residuals_never_exceed_residual_tol(seed, max_iter, tol):
+    curve = make_random_jordan(64, seed=seed)
+    cfg = SolverConfig(max_iter=max_iter, residual_tol=tol)
+    for s in _find_quietly(curve, cfg).solutions:
+        assert s.residual_norm <= tol
 
 
 def _quartile_seed_grid(curve, config=None):
@@ -655,7 +831,17 @@ def test_config_validation():
         find_quads(c, SolverConfig(residual_tol=-1.0))
 
 
-@pytest.mark.parametrize("name", ["residual_tol", "dedup_tol", "gap_min", "min_side", "fd_step"])
+@pytest.mark.parametrize("name, value", [("grid_m", 24.5), ("grid_m", 24.0), ("grid_m", math.nan),
+                                         ("max_iter", 2.5), ("max_iter", True)])
+def test_config_rejects_non_integer_counts(name, value):
+    c = make_circle(1.0, 60)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        SolverConfig(**{name: value}).resolved(c)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        find_quads(c, SolverConfig(**{name: value}))
+
+
+@pytest.mark.parametrize("name", ["residual_tol", "dedup_tol", "gap_min", "min_side"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_fields(name, value):
     c = make_circle(1.0, 60)
@@ -682,6 +868,18 @@ def test_grid_m_above_memory_bound_fails_before_allocating():
 def test_oracle_rejects_oversized_grid():
     with pytest.raises(ValueError, match="48"):
         brute_force_oracle(make_circle(1.0, 60), m=60)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+def test_oracle_rejects_a_tol_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        brute_force_oracle(make_circle(1.0, 60), m=24, tol=tol)
+
+
+@pytest.mark.parametrize("m", [math.nan, 24.5, 24.0])
+def test_oracle_rejects_a_grid_that_is_not_an_integer(m):
+    with pytest.raises(ValueError, match="^m must be an integer"):
+        brute_force_oracle(make_circle(1.0, 60), m=m)
 
 
 def test_oracle_ellipse_single_cluster(ellipse, ellipse_solutions):
