@@ -108,6 +108,9 @@ class Arc:
         }
 
 
+_MAX_SAMPLE_STEPS = 1 << 20  # arclength steps one SmoothedCurve.sample may take
+
+
 @dataclass
 class SmoothedCurve:
     """Tangent-continuous alternation of line segments and circular fillets."""
@@ -126,8 +129,17 @@ class SmoothedCurve:
         return float(sum(p.length for p in self.pieces))
 
     def sample(self, step: float) -> PolyCurve:
-        """Polygonal sampling at arclength spacing <= step."""
+        """Polygonal sampling at arclength spacing <= step.
+
+        A step below length / _MAX_SAMPLE_STEPS is refused: the sample would
+        hold more than _MAX_SAMPLE_STEPS points, plus at most one per piece.
+        """
         _check_positive("step", step)
+        smallest = self.length() / _MAX_SAMPLE_STEPS
+        if step < smallest:
+            raise ValueError(
+                f"step {step:.6g} would take more than {_MAX_SAMPLE_STEPS} steps along "
+                f"the curve; step must be at least {smallest!r}")
         pts = []
         for piece in self.pieces:
             plen = piece.length
@@ -301,10 +313,16 @@ def discrete_frechet(a: PolyCurve, b: PolyCurve) -> float:
     and upper-bounds the continuous Frechet distance up to the max edge
     length.  Method: the Eiter-Mannila (1994) recurrence as a wavefront over
     anti-diagonals, vectorized across batches of shifts.  Shift s cannot end
-    below max(dist[0, s], dist[n-1, s-1]), so shifts run in ascending order
-    of that bound until it reaches the best value found.  Exact: the same
-    float as the full minimum over all shifts.  Memory: the n x m distance
-    matrix, its column-doubled copy if closed, O(batch * min(n, m)) more.
+    below max(dist[0, s], dist[n-1, s-1]), its end bound, nor below the
+    floor every shift shares: the vertex Hausdorff distance
+    max(max_i min_j dist, max_j min_i dist), since a coupling matches every
+    vertex (Hausdorff <= Frechet, Alt and Godau 1995).  Shifts run in
+    ascending order of end bound, the first alone and then in batches,
+    until the larger of the two bounds reaches the best value found; a
+    first shift that meets the floor ends the search at once.  Exact: the
+    returned float is a coupling value, the same float as the full minimum
+    over all shifts.  Memory: the n x m distance matrix, its column-doubled
+    copy if closed, O(batch * min(n, m)) more.
     """
     if a.closed != b.closed:
         raise ValueError("curves must be both open or both closed")
@@ -322,9 +340,10 @@ def discrete_frechet(a: PolyCurve, b: PolyCurve) -> float:
         return float(_coupling_values(dist, m, np.zeros(1, dtype=np.intp))[0])
     bound = np.maximum(dist[0], np.roll(dist[-1], 1))
     order = np.argsort(bound, kind="stable")
+    bound = np.maximum(bound, max(dist.min(axis=1).max(), dist.min(axis=0).max()))
     doubled = np.concatenate((dist, dist), axis=1)
-    best = math.inf
-    for start in range(0, m, _SHIFT_BATCH):
+    best = float(_coupling_values(doubled, m, order[:1])[0])
+    for start in range(1, m, _SHIFT_BATCH):
         batch = order[start:start + _SHIFT_BATCH]
         batch = batch[bound[batch] < best]
         if batch.size == 0:
@@ -369,6 +388,9 @@ class ConvergenceReport:
 
 
 _PAIR_BLOCK = 1 << 18  # dyadic pairs measured per array pass
+# the pairs grow 4x per level: depth 12 measures 8.4M of them, 1.3 s on a
+# 2-vCPU x86-64 host
+_MAX_DYADIC_DEPTH = 12
 
 
 def convergence_report(target: PolyCurve, approximant: PolyCurve,
@@ -381,10 +403,11 @@ def convergence_report(target: PolyCurve, approximant: PolyCurve,
     distance: between consecutive vertex fractions of either curve both are
     affine in the fraction, so the distance is convex there and peaks at a
     vertex fraction.  The arc errors are maximized over all dyadic fraction
-    pairs [j/2^d, k/2^d] at the deepest level d = dyadic_depth.
+    pairs [j/2^d, k/2^d] at the deepest level d = dyadic_depth, which runs
+    from 1 to _MAX_DYADIC_DEPTH.
     """
-    if dyadic_depth < 1:
-        raise ValueError("dyadic_depth must be at least 1")
+    if not 1 <= dyadic_depth <= _MAX_DYADIC_DEPTH:
+        raise ValueError(f"dyadic_depth must be between 1 and {_MAX_DYADIC_DEPTH}")
     if target.closed != approximant.closed:
         raise ValueError("curves must be both open or both closed")
     lt, la = target.length, approximant.length
@@ -397,19 +420,21 @@ def convergence_report(target: PolyCurve, approximant: PolyCurve,
 
     denom = 2 ** dyadic_depth
     fracs = np.arange(denom + 1) / denom
+    # each fraction is located once per curve; only the pair arithmetic
+    # runs per pair
+    ends = [(curve, curve._arc_ends(fracs * curve.length)) for curve in (target, approximant)]
     length_err = curvature_err = 0.0
     # pairs j < k, a block of rows of j at a time; a closed full wrap (0, 1)
     # measures 0 on both curves, so it adds nothing
     rows = max(1, _PAIR_BLOCK // (denom + 1))
     for j0 in range(0, denom, rows):
         j, k = np.nonzero(np.arange(j0, min(j0 + rows, denom))[:, None] < np.arange(denom + 1))
-        f1, f2 = fracs[j + j0], fracs[k]
-        dlen = np.abs(target.arc_length(f1 * lt, f2 * lt)
-                      - approximant.arc_length(f1 * la, f2 * la))
-        dkap = np.abs(target.subarc_curvature(f1 * lt, f2 * lt)
-                      - approximant.subarc_curvature(f1 * la, f2 * la))
-        length_err = max(length_err, float(dlen.max()))
-        curvature_err = max(curvature_err, float(dkap.max()))
+        j += j0
+        (span_t, mass_t), (span_a, mass_a) = (
+            (curve._span(x[j], x[k]), curve._mass(x[j], lo[j], x[k], hi[k]))
+            for curve, (x, lo, hi) in ends)
+        length_err = max(length_err, float(np.abs(span_t - span_a).max()))
+        curvature_err = max(curvature_err, float(np.abs(mass_t - mass_a).max()))
     return ConvergenceReport(
         index=index,
         position_err=position_err,

@@ -218,15 +218,16 @@ class PolyCurve:
         Accepts scalars or arrays of parameters, like point_at.
         """
         scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-        a = self.normalize_param(a)
-        b = self.normalize_param(b)
-        if self.closed:
-            span = np.mod(b - a, self.length)
-        elif np.any(b < a):
-            raise ValueError("on an open curve the arc must run forward (a <= b)")
-        else:
-            span = b - a
+        span = self._span(self.normalize_param(a), self.normalize_param(b))
         return float(span) if scalar else span
+
+    def _span(self, a, b):
+        """arc_length of normalized ends a and b that broadcast together."""
+        if self.closed:
+            return np.mod(b - a, self.length)
+        if np.any(b < a):
+            raise ValueError("on an open curve the arc must run forward (a <= b)")
+        return b - a
 
     # -- curvature -------------------------------------------------------
 
@@ -256,13 +257,13 @@ class PolyCurve:
         _, ang = self._atoms
         return float(np.sum(ang))
 
-    def _atom_mass_between(self, x, y):
-        """Mass of atoms with position strictly inside (x, y), 0 <= x <= y <= L."""
+    def _arc_ends(self, s):
+        """(normalized s, atoms at or before s, atoms before s) for
+        parameters s of any shape: the searches subarc_curvature makes, done
+        once per parameter so that _mass can pair the ends."""
+        s = self.normalize_param(s)
         pos, _ = self._atoms
-        prefix = self._atom_prefix
-        lo = np.searchsorted(pos, x, side="right")
-        hi = np.searchsorted(pos, y, side="left")
-        return np.where(hi > lo, prefix[hi] - prefix[lo], 0.0)
+        return s, np.searchsorted(pos, s, side="right"), np.searchsorted(pos, s, side="left")
 
     def subarc_curvature(self, a, b):
         """Curvature mass of the open directed arc (a, b).
@@ -272,24 +273,31 @@ class PolyCurve:
         scalars or arrays of parameters, like point_at.
         """
         scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-        if self.closed:
-            L = self.length
-            a = np.mod(a, L)
-            b = np.mod(b, L)
-            # an arc that ends before it starts crosses the seam vertex, whose
-            # atom sits at 0 == L; an arc that ends on it (b == 0) leaves it out
-            wraps = b < a
-            _, ang = self._atoms
-            head = self._atom_mass_between(a, np.where(wraps, L, b))
-            seam = np.where(b > 0.0, ang[0], 0.0)
-            mass = np.where(wraps, (head + seam) + self._atom_mass_between(0.0, b), head)
-        else:
-            a = self.normalize_param(a)
-            b = self.normalize_param(b)
+        a, lo, _ = self._arc_ends(a)
+        b, _, hi = self._arc_ends(b)
+        mass = self._mass(a, lo, b, hi)
+        return float(mass) if scalar else mass
+
+    def _mass(self, a, lo, b, hi):
+        """subarc_curvature of normalized ends a and b, with lo atoms at or
+        before a and hi atoms before b; all four broadcast together."""
+        prefix = self._atom_prefix
+
+        def between(lo, hi):
+            return np.where(hi > lo, prefix[hi] - prefix[lo], 0.0)
+
+        if not self.closed:
             if np.any(b < a):
                 raise ValueError("on an open curve the arc must run forward (a <= b)")
-            mass = self._atom_mass_between(a, b)
-        return float(mass) if scalar else mass
+            return between(lo, hi)
+        # an arc that ends before it starts crosses the seam vertex, whose
+        # atom sits at 0 == L; an arc that ends on it (b == 0) leaves it out
+        pos, ang = self._atoms
+        wraps = b < a
+        head = between(lo, np.where(wraps, np.searchsorted(pos, self.length, side="left"), hi))
+        seam = np.where(b > 0.0, ang[0], 0.0)
+        tail = between(np.searchsorted(pos, 0.0, side="right"), hi)
+        return np.where(wraps, (head + seam) + tail, head)
 
     def detect_cusps(self, tol: float):
         """Vertex indices whose turning angle is within tol of a full reversal."""

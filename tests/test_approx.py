@@ -1,6 +1,9 @@
 """Tests for inscription, corner rounding, Frechet distance, and convergence."""
 
+import bisect
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,8 +36,6 @@ from sqpeg.generators import (
 
 def recursive_frechet_oracle(P, Q):
     """Memoized textbook recursion, independent of the iterative DP."""
-    import functools
-
     P = np.asarray(P, float)
     Q = np.asarray(Q, float)
 
@@ -87,20 +88,32 @@ def frechet_reference(a, b) -> float:
     return min(_dfd_rows(np.roll(dist, -s, axis=1)) for s in range(pb.shape[0]))
 
 
+@functools.lru_cache(maxsize=8)
+def _atom_table(curve):
+    """The curve's atom positions, prefix sums and seam atom as Python
+    floats."""
+    pos, ang = curve._atoms
+    return pos.tolist(), curve._atom_prefix.tolist(), float(ang[0])
+
+
 def _atom_mass_reference(curve, x, y):
-    pos, _ = curve._atoms
-    lo = np.searchsorted(pos, x, side="right")
-    hi = np.searchsorted(pos, y, side="left")
-    return 0.0 if hi <= lo else float(curve._atom_prefix[hi] - curve._atom_prefix[lo])
+    """Mass of the atoms strictly inside (x, y); bisect finds the indices
+    np.searchsorted finds."""
+    pos, prefix, _ = _atom_table(curve)
+    lo = bisect.bisect_right(pos, x)
+    hi = bisect.bisect_left(pos, y)
+    return 0.0 if hi <= lo else prefix[hi] - prefix[lo]
 
 
 def arc_length_reference(curve, a, b):
-    """The scalar PolyCurve.arc_length the array version replaced."""
+    """The scalar PolyCurve.arc_length the array version replaced.  Python's
+    float % is np.mod's remainder: fmod, then one add of L to a negative
+    remainder, and +0.0 for a zero one."""
     if curve.closed:
-        a = float(np.mod(a, curve.length))
-        b = float(np.mod(b, curve.length))
-        return float(np.mod(b - a, curve.length))
-    return b - a
+        a = float(a) % curve.length
+        b = float(b) % curve.length
+        return (b - a) % curve.length
+    return float(b - a)
 
 
 def subarc_curvature_reference(curve, a, b):
@@ -110,14 +123,14 @@ def subarc_curvature_reference(curve, a, b):
     if not curve.closed:
         return _atom_mass_reference(curve, a, b)
     L = curve.length
-    a = float(np.mod(a, L))
-    b = float(np.mod(b, L))
+    a = float(a) % L
+    b = float(b) % L
     if b >= a:
         return _atom_mass_reference(curve, a, b)
     total = _atom_mass_reference(curve, a, L)
-    pos, ang = curve._atoms
+    pos, _, seam = _atom_table(curve)
     if pos[0] == 0.0 and b > 0.0:
-        total += float(ang[0])
+        total += seam
     return total + _atom_mass_reference(curve, 0.0, b)
 
 
@@ -126,7 +139,7 @@ def convergence_errors_reference(target, approximant, depth):
     over the dyadic pairs with the scalar arc measures."""
     lt, la = target.length, approximant.length
     denom = 2 ** depth
-    fracs = np.arange(denom + 1) / denom
+    fracs = (np.arange(denom + 1) / denom).tolist()
     length_err = curvature_err = 0.0
     for j in range(denom):
         for k in range(j + 1, denom + 1):
@@ -316,6 +329,29 @@ def test_sample_coarse_step_warns_and_stays_valid():
     assert poly.num_vertices >= 3
 
 
+def test_sample_refuses_a_step_below_its_smallest_named_step(monkeypatch):
+    smooth = fillet_smooth(make_regular_polygon(6), 0.1)
+    monkeypatch.setattr(approx, "_MAX_SAMPLE_STEPS", 64)
+    smallest = smooth.length() / 64
+    message = f"more than 64 steps along the curve; step must be at least {smallest!r}$"
+    with pytest.raises(ValueError, match=message):
+        smooth.sample(smallest * (1.0 - 1e-12))
+    # at most one point more per piece than the steps allowed
+    assert smooth.sample(smallest).num_vertices <= 64 + len(smooth.pieces)
+
+
+def test_sample_refuses_a_tiny_step_before_allocating():
+    smooth = fillet_smooth(make_unit_square(), 0.05)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="step must be at least 3.73"):
+            smooth.sample(1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 # ---------------------------------------------------------------------------
 # Frechet distance
 # ---------------------------------------------------------------------------
@@ -369,12 +405,7 @@ def test_frechet_closed_shift_invariance():
 def test_frechet_dominates_vertex_hausdorff():
     a = make_circle(1.0, 24)
     b = make_ellipse(1.5, 1.0, 24)
-    d = discrete_frechet(a, b)
-    hausdorff = max(
-        np.max(np.min(np.linalg.norm(a.vertices[:, None] - b.vertices[None], axis=2), axis=1)),
-        np.max(np.min(np.linalg.norm(b.vertices[:, None] - a.vertices[None], axis=2), axis=1)),
-    )
-    assert d >= hausdorff - 1e-12
+    assert discrete_frechet(a, b) >= _vertex_hausdorff(a, b) - 1e-12
 
 
 def test_frechet_rejects_mixed_topology():
@@ -433,18 +464,64 @@ def _count_shifts(monkeypatch):
     return visited
 
 
-def test_frechet_pruning_visiting_most_shifts_matches_shift_loop(monkeypatch):
-    # both ends of the larger sequence sit at the centre of a circle of
-    # radius 1/2, so every shift's bound is about 1/2, below the optimum
+def _centred_ring():
+    """A unit circle of 40 vertices whose first and last vertices sit
+    within 1e-3 of its centre, about 1/2 from every point of a circle of
+    radius 1/2."""
     t = np.linspace(0.0, 2 * math.pi, 40, endpoint=False)
     ring = np.column_stack([np.cos(t), np.sin(t)])
     ring[0], ring[-1] = (0.0, 0.0), (1e-3, 0.0)
-    a, b = PolyCurve(ring, closed=True), make_circle(0.5, 24)
+    return PolyCurve(ring, closed=True)
+
+
+def _vertex_hausdorff(a, b):
+    dist = np.linalg.norm(a.vertices[:, None] - b.vertices[None], axis=2)
+    return max(dist.min(axis=0).max(), dist.min(axis=1).max())
+
+
+def test_frechet_pruning_visiting_most_shifts_matches_shift_loop(monkeypatch):
+    # both ends of the larger sequence sit at the centre of a circle of
+    # radius 1/2, so every shift's bound is about 1/2, and the vertex
+    # Hausdorff floor (0.505) is below the optimum (1.49), because the
+    # circle runs the other way round
+    a = _centred_ring()
+    b = PolyCurve(make_circle(0.5, 24).vertices[::-1], closed=True)
     visited = _count_shifts(monkeypatch)
     for x, y in ((a, b), (b, a)):
         visited.clear()
         assert discrete_frechet(x, y) == frechet_reference(x, y)
         assert sum(visited) == b.num_vertices
+
+
+def test_frechet_meeting_the_floor_sweeps_one_shift(monkeypatch):
+    circle = make_circle(1.0, 40)
+    pairs = [(_centred_ring(), make_circle(0.5, 24)),
+             (circle, PolyCurve(np.roll(circle.vertices, 7, axis=0), closed=True))]
+    visited = _count_shifts(monkeypatch)
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            visited.clear()
+            d = discrete_frechet(x, y)
+            assert d == frechet_reference(x, y) == _vertex_hausdorff(x, y)
+            assert visited == [1]
+
+
+@pytest.mark.parametrize("batch", _SWEEPS)
+def test_frechet_above_the_floor_matches_shift_loop(monkeypatch, batch):
+    monkeypatch.setattr(approx, "_SHIFT_BATCH", batch)
+    ellipse = make_ellipse(1.5, 1.0, 30)
+    pairs = [(_centred_ring(), PolyCurve(make_circle(0.5, 24).vertices[::-1], closed=True)),
+             (ellipse, PolyCurve(ellipse.vertices[::-1], closed=True)),
+             (make_circle(1.0, 36), PolyCurve(make_ellipse(1.5, 1.0, 20).vertices[::-1],
+                                              closed=True))]
+    visited = _count_shifts(monkeypatch)
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a)):
+            visited.clear()
+            d = discrete_frechet(x, y)
+            assert d == frechet_reference(x, y)
+            assert d > _vertex_hausdorff(x, y)
+            assert len(visited) > 1
 
 
 def test_frechet_prunes_shifts_and_stays_exact(monkeypatch):
@@ -494,6 +571,24 @@ def test_frechet_closed_property_equals_reference(pair):
     assert d == frechet_reference(a, b)
     if a.num_vertices != b.num_vertices:
         assert discrete_frechet(b, a) == d
+
+
+@given(st.sampled_from([2, 3]).flatmap(
+    lambda d: _closed_vertices(d).flatmap(
+        lambda v: st.tuples(st.just(v), st.permutations(range(v.shape[0]))))))
+def test_frechet_closed_same_vertex_set_in_another_order_equals_reference(case):
+    # the vertex Hausdorff floor is 0, which the optimum meets only when the
+    # order is a cyclic shift
+    v, order = case
+    curves = []
+    for w in (v, v[list(order)]):
+        assume(np.all(np.linalg.norm(np.roll(w, -1, axis=0) - w, axis=1) > 1e-9))
+        curves.append(PolyCurve(w, closed=True))
+    a, b = curves
+    # equal sizes: each order shifts its second curve, so each has its own
+    # reference value
+    for x, y in ((a, b), (b, a)):
+        assert discrete_frechet(x, y) == frechet_reference(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -577,9 +672,10 @@ def test_position_error_is_the_exact_sup(name):
     assert exact == float(np.max(_gap_norms(target, approximant, dense)))
 
 
-def test_position_error_on_open_curve_whose_last_knot_overshoots():
-    # an open curve whose sequential cumulative length ends one ulp above
-    # its pairwise-summed length: the last vertex fraction exceeds 1
+def _overshooting_open_pair():
+    """An open curve whose sequential cumulative length ends one ulp above
+    its pairwise-summed length, so its last vertex fraction exceeds 1, and a
+    perturbed half of it."""
     for seed in range(1000):
         rng = np.random.default_rng(seed)
         target = PolyCurve(rng.standard_normal((12, 3)), closed=False)
@@ -589,6 +685,11 @@ def test_position_error_on_open_curve_whose_last_knot_overshoots():
         pytest.fail("no overshooting open curve in 1000 seeds")
     approximant = PolyCurve(target.vertices[::2] + 0.01 * rng.standard_normal((6, 3)),
                             closed=False)
+    return target, approximant
+
+
+def test_position_error_on_open_curve_whose_last_knot_overshoots():
+    target, approximant = _overshooting_open_pair()
     exact = convergence_report(target, approximant, dyadic_depth=1).position_err
     breaks = np.minimum(np.concatenate((target._knots / target.length,
                                         approximant._knots / approximant.length)), 1.0)
@@ -621,10 +722,25 @@ def test_convergence_errors_match_scalar_loop(name):
     if target.closed:
         # the seam vertex sits at position 0, where the wrap adds its atom
         assert target._atoms[0][0] == 0.0 and approximant._atoms[0][0] == 0.0
-    for depth in range(1, 8):
+    for depth in range(1, 10):
         rep = convergence_report(target, approximant, dyadic_depth=depth)
         assert (rep.length_err, rep.curvature_err) == \
             convergence_errors_reference(target, approximant, depth), depth
+
+
+def test_convergence_errors_match_scalar_loop_on_overshooting_open_curve():
+    target, approximant = _overshooting_open_pair()
+    for depth in range(1, 10):
+        rep = convergence_report(target, approximant, dyadic_depth=depth)
+        assert (rep.length_err, rep.curvature_err) == \
+            convergence_errors_reference(target, approximant, depth), depth
+
+
+@pytest.mark.parametrize("depth", [0, 13, 40])
+def test_convergence_refuses_dyadic_depth_out_of_range(depth):
+    square = make_unit_square()
+    with pytest.raises(ValueError, match="between 1 and 12"):
+        convergence_report(square, square, dyadic_depth=depth)
 
 
 @pytest.mark.parametrize("name", sorted(_convergence_cases()))

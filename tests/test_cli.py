@@ -201,6 +201,23 @@ def test_analyze_rejects_tiny_step_before_allocating(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args, message", [
+    (["--dyadic-depth", "40"], "dyadic_depth must be between 1 and 12"),
+    (["--fillet-radius", "0.05", "--resample-step", "1e-9"],
+     "more than 1048576 steps along the curve; step must be at least 5.82"),
+])
+def test_converge_rejects_hostile_sizes_before_allocating(circle_file, capsys, args, message):
+    tracemalloc.start()
+    try:
+        code = run(["converge", circle_file, "--n-list", "8", "--grid-m", "8", *args])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("args, message", [
     (["--tol", "nan", "find", "{curve}", "--grid-m", "8"], "residual_tol must be finite"),
     (["--tol", "inf", "find", "{curve}", "--grid-m", "8"], "residual_tol must be finite"),
     (["analyze", "{curve}", "--cap", "nan"], "cap must be finite and positive"),
