@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import zip_longest
 
 import numpy as np
 
@@ -25,15 +26,20 @@ __all__ = [
 ]
 
 
+_MAX_SAMPLE_STEPS = 1 << 20  # arclength steps one SmoothedCurve.sample may take
+_MAX_INSCRIBED = 1 << 20  # vertices one inscribe_polygon may place
+
+
 def inscribe_polygon(curve: PolyCurve, n: int) -> PolyCurve:
     """Polygon with n vertices on `curve`, equally spaced by arclength.
 
     Vertices sit at arclengths k*L/n (phase 0).  Inscription never increases
-    total curvature.
+    total curvature.  An n above _MAX_INSCRIBED is refused before anything
+    is allocated.
     """
     minimum = 3 if curve.closed else 2
-    if n < minimum:
-        raise ValueError(f"need at least {minimum} vertices")
+    if not minimum <= n <= _MAX_INSCRIBED:
+        raise ValueError(f"n must be between {minimum} and {_MAX_INSCRIBED} vertices, not {n}")
     if curve.closed:
         params = np.arange(n) * (curve.length / n)
     else:
@@ -45,6 +51,25 @@ def inscribe_polygon(curve: PolyCurve, n: int) -> PolyCurve:
 # corner rounding
 # ---------------------------------------------------------------------------
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row as the one-row call rounds it: a dot
+    product per row (norm(x, axis=1) sums the squares in another order)."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
+def _on_arc(center, radius, e1, e2, w):
+    """center + radius*(cos(w)*e1 + sin(w)*e2): one point, or one per row
+    of the arrays."""
+    r, c, s = (np.asarray(x)[..., None] for x in (radius, np.cos(w), np.sin(w)))
+    return center + r * (c * e1 + s * e2)
+
+
+def _piece_json(piece, kind: str) -> dict:
+    """{"type": kind} and the piece's fields as floats or lists of floats."""
+    return {"type": kind, **{f.name: np.asarray(getattr(piece, f.name), dtype=float).tolist()
+                             for f in fields(piece)}}
+
+
 @dataclass(frozen=True)
 class Segment:
     start: np.ndarray
@@ -54,24 +79,17 @@ class Segment:
     def length(self) -> float:
         return float(np.linalg.norm(self.end - self.start))
 
-    def point(self, s: float) -> np.ndarray:
-        d = self.end - self.start
-        return self.start + (s / self.length) * d
-
     def to_json_dict(self) -> dict:
-        return {
-            "type": "seg",
-            "start": [float(x) for x in self.start],
-            "end": [float(x) for x in self.end],
-        }
+        return _piece_json(self, "seg")
 
 
 @dataclass(frozen=True)
 class Arc:
     """Circular arc in the plane spanned by (e1, e2) about `center`.
 
-    point(w) = center + radius*(cos(w)*e1 + sin(w)*e2) for w in [0, turning];
-    the tangent rotates by exactly `turning` from e2.
+    Its point at arclength s is center + radius*(cos(w)*e1 + sin(w)*e2),
+    w = s/radius in [0, turning]; the tangent rotates by exactly `turning`
+    from e2.
     """
 
     center: np.ndarray
@@ -84,31 +102,41 @@ class Arc:
     def length(self) -> float:
         return self.radius * self.turning
 
-    def point(self, s: float) -> np.ndarray:
-        w = s / self.radius
-        return self.center + self.radius * (math.cos(w) * self.e1 + math.sin(w) * self.e2)
-
     @property
     def start(self) -> np.ndarray:
         return self.center + self.radius * self.e1
 
     @property
     def end(self) -> np.ndarray:
-        w = self.turning
-        return self.center + self.radius * (math.cos(w) * self.e1 + math.sin(w) * self.e2)
+        return _on_arc(self.center, self.radius, self.e1, self.e2, self.turning)
 
     def to_json_dict(self) -> dict:
-        return {
-            "type": "arc",
-            "center": [float(x) for x in self.center],
-            "radius": float(self.radius),
-            "e1": [float(x) for x in self.e1],
-            "e2": [float(x) for x in self.e2],
-            "turning": float(self.turning),
-        }
+        return _piece_json(self, "arc")
 
 
-_MAX_SAMPLE_STEPS = 1 << 20  # arclength steps one SmoothedCurve.sample may take
+def _frames(pieces: list) -> tuple:
+    """Per piece: is it an arc, its frame (a segment's start, end, end; an
+    arc's center, e1, e2), its radius (0 on a segment), its length."""
+    arc = np.array([isinstance(p, Arc) for p in pieces])
+    frame = np.array([(p.center, p.e1, p.e2) if a else (p.start, p.end, p.end)
+                      for p, a in zip(pieces, arc)], dtype=float)
+    radius, turning = np.array([(p.radius, p.turning) if a else (0.0, 0.0)
+                                for p, a in zip(pieces, arc)]).T
+    return arc, frame, radius, np.where(arc, radius * turning, _row_norms(frame[:, 1] - frame[:, 0]))
+
+
+def _points(frames: tuple, piece: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Points at arclength s from the start of the given pieces, one array
+    evaluation per piece type."""
+    arc, frame, radius, length = frames
+    origin, u, v = frame[piece].transpose(1, 0, 2)
+    on_arc, on_seg = arc[piece], ~arc[piece]
+    pts = np.empty_like(origin)
+    r = radius[piece[on_arc]]
+    pts[on_arc] = _on_arc(origin[on_arc], r, u[on_arc], v[on_arc], s[on_arc] / r)
+    pts[on_seg] = origin[on_seg] + (s[on_seg] / length[piece[on_seg]])[:, None] * (
+        u[on_seg] - origin[on_seg])
+    return pts
 
 
 @dataclass
@@ -131,41 +159,41 @@ class SmoothedCurve:
     def sample(self, step: float) -> PolyCurve:
         """Polygonal sampling at arclength spacing <= step.
 
+        Each piece gives the starts of its ceil(length/step) equal parts (at
+        least one), an open curve its end too, all in one array evaluation;
+        a point within 1e-15 of the one before is dropped.  Fewer than 3
+        points (2 if open) are replaced, with a warning, by as many points
+        equally spaced by arclength.
+
         A step below length / _MAX_SAMPLE_STEPS is refused: the sample would
         hold more than _MAX_SAMPLE_STEPS points, plus at most one per piece.
         """
         _check_positive("step", step)
-        smallest = self.length() / _MAX_SAMPLE_STEPS
+        total = self.length()
+        smallest = total / _MAX_SAMPLE_STEPS
         if step < smallest:
             raise ValueError(
                 f"step {step:.6g} would take more than {_MAX_SAMPLE_STEPS} steps along "
                 f"the curve; step must be at least {smallest!r}")
-        pts = []
-        for piece in self.pieces:
-            plen = piece.length
-            nsub = max(1, math.ceil(plen / step))
-            for j in range(nsub):
-                pts.append(piece.point(plen * j / nsub))
+        frames = _frames(self.pieces)
+        length = frames[3]
+        nsub = np.maximum(np.ceil(length / step), 1.0).astype(np.intp)
+        piece = np.repeat(np.arange(nsub.size), nsub)
+        j = np.arange(piece.size) - np.repeat(np.cumsum(nsub) - nsub, nsub)
+        pts = _points(frames, piece, length[piece] * j / nsub[piece])
         if not self.closed:
-            pts.append(self.pieces[-1].end)
-        pts = np.asarray(pts)
+            pts = np.vstack((pts, self.pieces[-1].end))
         keep = np.concatenate(([True], np.linalg.norm(np.diff(pts, axis=0), axis=1) > 1e-15))
         pts = pts[keep]
         minimum = 3 if self.closed else 2
         if pts.shape[0] < minimum:
             warnings.warn("step exceeds curve length; emitting a minimal coarse sample")
-            total = self.length()
-            params = [total * k / minimum for k in range(minimum)]
-            pts = np.asarray([self.point_at(t) for t in params])
+            s = total * np.arange(minimum) / minimum
+            # the first piece ending at or after s, and s from its start
+            ends = np.cumsum(length)
+            piece = np.searchsorted(ends, s)
+            pts = _points(frames, piece, s - np.concatenate(([0.0], ends))[piece])
         return PolyCurve(pts, self.closed)
-
-    def point_at(self, s: float) -> np.ndarray:
-        acc = 0.0
-        for piece in self.pieces:
-            if s <= acc + piece.length:
-                return piece.point(s - acc)
-            acc += piece.length
-        return self.pieces[-1].end
 
     def to_json_dict(self) -> dict:
         return {
@@ -175,105 +203,65 @@ class SmoothedCurve:
         }
 
 
-def _fillet_corner(v_prev, v, v_next, radius, alpha):
-    """Arc replacing the corner at v, which turns by alpha, plus the trim
-    length taken off each edge; no arc for alpha under 1e-15."""
-    if alpha < 1e-15:
-        return None, 0.0
-    e_in = v - v_prev
-    e_out = v_next - v
-    len_in = np.linalg.norm(e_in)
-    len_out = np.linalg.norm(e_out)
-    d1 = e_in / len_in
-    d2 = e_out / len_out
-
-    half = alpha / 2.0
-    r = min(radius, 0.49 * min(len_in, len_out) / 2.0 / math.tan(half))
-    trim = r * math.tan(half)
-    t1 = v - trim * d1
-    bis = d2 - d1
-    w = bis / np.linalg.norm(bis)
-    center = v + (r / math.cos(half)) * w
-    e1 = t1 - center
-    e1 = e1 / np.linalg.norm(e1)
-    return Arc(center=center, radius=r, e1=e1, e2=d1, turning=alpha), trim
-
-
 def fillet_smooth(poly: PolyCurve, radius: float) -> SmoothedCurve:
     """Round every corner with a tangent circular arc turning exactly the
     corner's exterior angle, so total curvature is preserved.
 
     The radius is clamped per corner to 0.49*min(adjacent half-edge-lengths)
     / tan(angle/2), which keeps the two trims on any edge from overlapping.
-    Corners within 1e-9 of a full reversal (cusps) cannot be rounded.
+    A corner turning under 1e-15 gets no arc (its turning goes to
+    dropped_turning); corners within 1e-9 of a full reversal (cusps) cannot
+    be rounded.  One array pass computes every corner.  The pieces run
+    from vertex 0, a closed curve's arc at vertex 0 last.
     """
     _check_positive("radius", radius)
     v = poly.vertices
     m = poly.num_vertices
     # one turning angle per corner: every vertex if closed, else the interior
     _, alphas = poly._atoms
-    corner_ids = range(m) if poly.closed else range(1, m - 1)
     cusps = np.flatnonzero(alphas >= math.pi - 1e-9)
     if cusps.size:
-        raise ValueError(f"cannot fillet a cusp at vertex {corner_ids[cusps[0]]}")
+        raise ValueError(f"cannot fillet a cusp at vertex {cusps[0] + (0 if poly.closed else 1)}")
+    dropped = float(np.cumsum(np.concatenate(([0.0], alphas[alphas < 1e-15])))[-1])
 
-    arcs = {}
-    trims = {}
-    dropped = 0.0
-    for i, alpha in zip(corner_ids, alphas.tolist()):
-        arc, trim = _fillet_corner(v[(i - 1) % m], v[i], v[(i + 1) % m], radius, alpha)
-        arcs[i] = arc
-        trims[i] = trim
-        if arc is None:
-            dropped += alpha
+    # corner k is vertex k + 1 (vertex 0, last, if closed), entered along
+    # edge k and left along the next edge; only corners that turn get an arc
+    edges = poly._edge_vecs
+    lens = _row_norms(edges)
+    units = edges / lens[:, None]
+    alpha = np.roll(alphas, -1) if poly.closed else alphas
+    k = np.flatnonzero(alpha >= 1e-15)
+    out, ids, alpha = (k + 1) % len(edges), (k + 1) % m, alpha[k]
+    d1, d2 = units[k], units[out]
+    half = alpha / 2.0
+    # np.tan can differ from the libm tan in the last bit
+    tan = np.array(list(map(math.tan, half.tolist())))
+    r = np.minimum(radius, 0.49 * np.minimum(lens[k], lens[out]) / 2.0 / tan)
+    trim = r * tan
+    bis = d2 - d1
+    center = v[ids] + (r / np.cos(half))[:, None] * (bis / _row_norms(bis)[:, None])
+    e1 = v[ids] - trim[:, None] * d1 - center
+    e1 = e1 / _row_norms(e1)[:, None]
+    # where the curve enters and leaves each vertex: a rounded corner's
+    # trim point and arc end
+    enter, leave = v.copy(), v.copy()
+    enter[ids] = v[ids] - trim[:, None] * edges[k] / lens[k, None]
+    leave[ids] = _on_arc(center, r, e1, d1, alpha)
 
+    # straight runs join consecutive stops: vertex 0, the rounded corners,
+    # the last vertex (vertex 0 again if closed); run k is followed by arc k
+    stops = np.concatenate(([0], ids[ids != 0], [0 if poly.closed else m - 1]))
+    starts, ends = leave[stops[:-1]], enter[stops[1:]]
+    kept = _row_norms(ends - starts) > 1e-15
     pieces = []
-
-    def add_segment(a, b):
-        if np.linalg.norm(b - a) <= 1e-15:
-            return
-        if pieces and isinstance(pieces[-1], Segment):
-            last = pieces[-1]
-            da = b - last.start
-            db = last.end - last.start
-            # merge collinear continuations (arises at exact-zero corners)
-            if np.linalg.norm(da / np.linalg.norm(da) - db / np.linalg.norm(db)) < 1e-12:
-                pieces[-1] = Segment(last.start, b)
-                return
-        pieces.append(Segment(np.asarray(a, float), np.asarray(b, float)))
-
-    def corner_entry(i):
-        return v[i] - trims[i] * (v[i] - v[(i - 1) % m]) / np.linalg.norm(
-            v[i] - v[(i - 1) % m]
-        ) if arcs[i] is not None else v[i]
-
-    def corner_exit(i):
-        return arcs[i].end if arcs[i] is not None else v[i]
-
-    if poly.closed:
-        for i in range(m):
-            if arcs[i] is not None:
-                pieces.append(arcs[i])
-            nxt = (i + 1) % m
-            add_segment(corner_exit(i), corner_entry(nxt))
-        # rotate so the list starts with a segment when one exists
-        if pieces and isinstance(pieces[0], Arc):
-            for k, p in enumerate(pieces):
-                if isinstance(p, Segment):
-                    pieces = pieces[k:] + pieces[:k]
-                    break
-    else:
-        cursor = v[0]
-        for i in range(1, m - 1):
-            add_segment(cursor, corner_entry(i))
-            if arcs[i] is not None:
-                pieces.append(arcs[i])
-            cursor = corner_exit(i)
-        add_segment(cursor, v[m - 1])
-
-    max_trim = max(trims.values()) if trims else 0.0
-    return SmoothedCurve(pieces=pieces, closed=poly.closed, max_trim=float(max_trim),
-                         dropped_turning=float(dropped))
+    for start, end, keep, arc in zip_longest(starts, ends, kept,
+                                             zip(center, r.tolist(), e1, d1, alpha.tolist())):
+        if keep:
+            pieces.append(Segment(start, end))
+        if arc:
+            pieces.append(Arc(*arc))
+    return SmoothedCurve(pieces=pieces, closed=poly.closed, max_trim=float(trim.max(initial=0.0)),
+                         dropped_turning=dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -305,24 +293,42 @@ def _coupling_values(table: np.ndarray, m: int, shifts: np.ndarray) -> np.ndarra
     return old[:, m]
 
 
+def _best_shift(dist: np.ndarray, best: float) -> float:
+    """min(best, the least coupling value over the cyclic column shifts of
+    dist), skipping every shift whose lower bound reaches best."""
+    m = dist.shape[1]
+    bound = np.maximum(dist[0], np.roll(dist[-1], 1))
+    order = np.argsort(bound, kind="stable")
+    bound = np.maximum(bound, max(dist.min(axis=1).max(), dist.min(axis=0).max()))
+    doubled = np.concatenate((dist, dist), axis=1)
+    # the first shift alone, then batches
+    for batch in np.split(order, range(1, m, _SHIFT_BATCH)):
+        batch = batch[bound[batch] < best]
+        if batch.size == 0:
+            break
+        best = min(best, float(_coupling_values(doubled, m, batch).min()))
+    return best
+
+
 def discrete_frechet(a: PolyCurve, b: PolyCurve) -> float:
     """Discrete Frechet distance between the vertex sequences of two curves.
 
     Both curves must be open or both closed; the closed case minimizes over
-    cyclic shifts of the smaller vertex sequence.  The result is symmetric
-    and upper-bounds the continuous Frechet distance up to the max edge
-    length.  Method: the Eiter-Mannila (1994) recurrence as a wavefront over
-    anti-diagonals, vectorized across batches of shifts.  Shift s cannot end
-    below max(dist[0, s], dist[n-1, s-1]), its end bound, nor below the
-    floor every shift shares: the vertex Hausdorff distance
-    max(max_i min_j dist, max_j min_i dist), since a coupling matches every
-    vertex (Hausdorff <= Frechet, Alt and Godau 1995).  Shifts run in
-    ascending order of end bound, the first alone and then in batches,
-    until the larger of the two bounds reaches the best value found; a
-    first shift that meets the floor ends the search at once.  Exact: the
-    returned float is a coupling value, the same float as the full minimum
-    over all shifts.  Memory: the n x m distance matrix, its column-doubled
-    copy if closed, O(batch * min(n, m)) more.
+    cyclic shifts of the smaller vertex sequence, or of either sequence
+    when the two are the same size.  The result is symmetric, to the last
+    bit, and upper-bounds the continuous Frechet distance up to the max
+    edge length.  Method: the Eiter-Mannila (1994) recurrence as a
+    wavefront over anti-diagonals, vectorized across batches of shifts.
+    Shift s cannot end below max(dist[0, s], dist[n-1, s-1]), its end
+    bound, nor below the floor every shift shares: the vertex Hausdorff
+    distance max(max_i min_j dist, max_j min_i dist), since a coupling
+    matches every vertex (Hausdorff <= Frechet, Alt and Godau 1995).
+    Shifts run in ascending order of end bound, the first alone and then in
+    batches, until the larger of the two bounds reaches the best value
+    found; a first shift that meets the floor ends the search at once.
+    Exact: the returned float is a coupling value, the same float as the
+    full minimum over all shifts.  Memory: the n x m distance matrix, its
+    column-doubled copy if closed, O(batch * min(n, m)) more.
     """
     if a.closed != b.closed:
         raise ValueError("curves must be both open or both closed")
@@ -335,21 +341,11 @@ def discrete_frechet(a: PolyCurve, b: PolyCurve) -> float:
         pa, pb = pb, pa
     diff = pa[:, None, :] - pb[None, :, :]
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    m = dist.shape[1]
+    n, m = dist.shape
     if not a.closed:
         return float(_coupling_values(dist, m, np.zeros(1, dtype=np.intp))[0])
-    bound = np.maximum(dist[0], np.roll(dist[-1], 1))
-    order = np.argsort(bound, kind="stable")
-    bound = np.maximum(bound, max(dist.min(axis=1).max(), dist.min(axis=0).max()))
-    doubled = np.concatenate((dist, dist), axis=1)
-    best = float(_coupling_values(doubled, m, order[:1])[0])
-    for start in range(1, m, _SHIFT_BATCH):
-        batch = order[start:start + _SHIFT_BATCH]
-        batch = batch[bound[batch] < best]
-        if batch.size == 0:
-            break
-        best = min(best, float(_coupling_values(doubled, m, batch).min()))
-    return best
+    best = _best_shift(dist, math.inf)
+    return _best_shift(dist.T, best) if n == m else best
 
 
 def verify_length_bound(a: PolyCurve, b: PolyCurve) -> dict:

@@ -15,6 +15,7 @@ from helpers import point_to_polyline_distance, random_cusp_free_polygon, random
 from sqpeg import approx
 from sqpeg.approx import (
     Arc,
+    Segment,
     SmoothedCurve,
     convergence_report,
     discrete_frechet,
@@ -77,7 +78,8 @@ def _dfd_rows(dist) -> float:
 
 def frechet_reference(a, b) -> float:
     """discrete_frechet as a loop over every cyclic shift of the smaller
-    closed sequence, each shift by the row recurrence."""
+    closed sequence (of both, if the sizes are equal), each shift by the
+    row recurrence."""
     pa, pb = a.vertices, b.vertices
     if a.closed and pa.shape[0] < pb.shape[0]:
         pa, pb = pb, pa
@@ -85,7 +87,8 @@ def frechet_reference(a, b) -> float:
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     if not a.closed:
         return _dfd_rows(dist)
-    return min(_dfd_rows(np.roll(dist, -s, axis=1)) for s in range(pb.shape[0]))
+    tables = (dist, dist.T) if pa.shape[0] == pb.shape[0] else (dist,)
+    return min(_dfd_rows(np.roll(t, -s, axis=1)) for t in tables for s in range(t.shape[1]))
 
 
 @functools.lru_cache(maxsize=8)
@@ -155,6 +158,132 @@ def convergence_errors_reference(target, approximant, depth):
     return length_err, curvature_err
 
 
+def _reference_arc_point(arc, w):
+    return arc.center + arc.radius * (math.cos(w) * arc.e1 + math.sin(w) * arc.e2)
+
+
+def _reference_point(piece, s):
+    """The point at arclength s on one piece, as the per-point methods
+    computed it."""
+    if isinstance(piece, Arc):
+        return _reference_arc_point(piece, s / piece.radius)
+    d = piece.end - piece.start
+    return piece.start + (s / piece.length) * d
+
+
+def _reference_end(piece):
+    return _reference_arc_point(piece, piece.turning) if isinstance(piece, Arc) else piece.end
+
+
+def _reference_fillet_corner(v_prev, v, v_next, radius, alpha):
+    if alpha < 1e-15:
+        return None, 0.0
+    e_in = v - v_prev
+    e_out = v_next - v
+    len_in = np.linalg.norm(e_in)
+    len_out = np.linalg.norm(e_out)
+    d1 = e_in / len_in
+    d2 = e_out / len_out
+    half = alpha / 2.0
+    r = min(radius, 0.49 * min(len_in, len_out) / 2.0 / math.tan(half))
+    trim = r * math.tan(half)
+    t1 = v - trim * d1
+    bis = d2 - d1
+    w = bis / np.linalg.norm(bis)
+    center = v + (r / math.cos(half)) * w
+    e1 = t1 - center
+    e1 = e1 / np.linalg.norm(e1)
+    return Arc(center=center, radius=r, e1=e1, e2=d1, turning=alpha), trim
+
+
+def fillet_smooth_reference(poly, radius):
+    """fillet_smooth as a loop over corners: a fillet per corner, segments
+    added one at a time with collinear continuations merged, and a closed
+    curve's pieces rotated to start with a segment."""
+    v = poly.vertices
+    m = poly.num_vertices
+    _, alphas = poly._atoms
+    corner_ids = range(m) if poly.closed else range(1, m - 1)
+    arcs, trims, dropped = {}, {}, 0.0
+    for i, alpha in zip(corner_ids, alphas.tolist()):
+        arcs[i], trims[i] = _reference_fillet_corner(v[(i - 1) % m], v[i], v[(i + 1) % m],
+                                                     radius, alpha)
+        if arcs[i] is None:
+            dropped += alpha
+    pieces = []
+
+    def add_segment(a, b):
+        if np.linalg.norm(b - a) <= 1e-15:
+            return
+        if pieces and isinstance(pieces[-1], Segment):
+            last = pieces[-1]
+            da = b - last.start
+            db = last.end - last.start
+            if np.linalg.norm(da / np.linalg.norm(da) - db / np.linalg.norm(db)) < 1e-12:
+                pieces[-1] = Segment(last.start, b)
+                return
+        pieces.append(Segment(np.asarray(a, float), np.asarray(b, float)))
+
+    def corner_entry(i):
+        if arcs[i] is None:
+            return v[i]
+        return v[i] - trims[i] * (v[i] - v[(i - 1) % m]) / np.linalg.norm(v[i] - v[(i - 1) % m])
+
+    def corner_exit(i):
+        return _reference_end(arcs[i]) if arcs[i] is not None else v[i]
+
+    if poly.closed:
+        for i in range(m):
+            if arcs[i] is not None:
+                pieces.append(arcs[i])
+            add_segment(corner_exit(i), corner_entry((i + 1) % m))
+        if pieces and isinstance(pieces[0], Arc):
+            k = next(k for k, p in enumerate(pieces) if isinstance(p, Segment))
+            pieces = pieces[k:] + pieces[:k]
+    else:
+        cursor = v[0]
+        for i in range(1, m - 1):
+            add_segment(cursor, corner_entry(i))
+            if arcs[i] is not None:
+                pieces.append(arcs[i])
+            cursor = corner_exit(i)
+        add_segment(cursor, v[m - 1])
+    max_trim = max(trims.values()) if trims else 0.0
+    return SmoothedCurve(pieces=pieces, closed=poly.closed, max_trim=float(max_trim),
+                         dropped_turning=float(dropped))
+
+
+def sample_reference(smooth, step):
+    """SmoothedCurve.sample (past its step check) as a loop over pieces and
+    points, with the coarse fallback walking the pieces per parameter."""
+    pts = []
+    for piece in smooth.pieces:
+        plen = piece.length
+        nsub = max(1, math.ceil(plen / step))
+        for j in range(nsub):
+            pts.append(_reference_point(piece, plen * j / nsub))
+    if not smooth.closed:
+        pts.append(_reference_end(smooth.pieces[-1]))
+    pts = np.asarray(pts)
+    keep = np.concatenate(([True], np.linalg.norm(np.diff(pts, axis=0), axis=1) > 1e-15))
+    pts = pts[keep]
+    minimum = 3 if smooth.closed else 2
+    if pts.shape[0] < minimum:
+        total = float(sum(p.length for p in smooth.pieces))
+        pts = []
+        for t in (total * k / minimum for k in range(minimum)):
+            acc = 0.0
+            for piece in smooth.pieces:
+                if t <= acc + piece.length:
+                    pts.append(_reference_point(piece, t - acc))
+                    break
+                acc += piece.length
+            else:
+                pts.append(_reference_end(smooth.pieces[-1]))
+        pts = np.asarray(pts)
+    return pts
+
+
 # ---------------------------------------------------------------------------
 # inscription
 # ---------------------------------------------------------------------------
@@ -191,6 +320,18 @@ def test_inscribe_never_increases_total_curvature():
 def test_inscribe_rejects_small_n():
     with pytest.raises(ValueError):
         inscribe_polygon(make_unit_square(), 2)
+
+
+def test_inscribe_refuses_a_huge_n_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="n must be between 3 and 1048576 vertices, not 100000000"):
+            inscribe_polygon(make_unit_square(), 10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert inscribe_polygon(make_unit_square(), approx._MAX_INSCRIBED).num_vertices == 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +422,7 @@ def test_fillet_arcs_turn_by_the_corner_atoms():
     for poly in (make_ellipse(2, 1, 24), PolyCurve(np.random.default_rng(2).standard_normal((7, 3)),
                                                    closed=False)):
         arcs = [p for p in fillet_smooth(poly, 0.05).pieces if isinstance(p, Arc)]
-        # a closed curve's pieces are rotated to start with a segment
+        # a closed curve's pieces start after vertex 0, whose arc comes last
         assert sorted(a.turning for a in arcs) == sorted(poly._atoms[1].tolist())
 
 
@@ -350,6 +491,69 @@ def test_sample_refuses_a_tiny_step_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _assert_same_as_reference(poly, radius, steps):
+    smooth, reference = fillet_smooth(poly, radius), fillet_smooth_reference(poly, radius)
+    assert smooth.to_json_dict() == reference.to_json_dict()
+    assert smooth.dropped_turning == reference.dropped_turning
+    assert smooth.length() == float(sum(p.length for p in reference.pieces))
+    for step in steps:
+        assert np.array_equal(smooth.sample(step).vertices, sample_reference(reference, step))
+
+
+def _rounding_cases():
+    octagon = inscribe_polygon(make_unit_square(), 8)
+    return {
+        # the benchmark's converge inputs
+        **{f"ellipse512-n{n}": inscribe_polygon(make_ellipse(2, 1, 512), n) for n in (16, 32, 64)},
+        # zero-turn corners at odd vertices, then at vertex 0
+        "octagon": octagon,
+        "octagon-rolled": PolyCurve(np.roll(octagon.vertices, 1, axis=0), closed=True),
+        "square-midpoint-0": PolyCurve([[0.5, 0], [1, 0], [1, 1], [0, 1], [0, 0]], closed=True),
+        "open-3d": PolyCurve(np.random.default_rng(2).standard_normal((7, 3)), closed=False),
+        "open-straight-run": PolyCurve([[0, 0], [1, 0], [2, 0], [2, 1], [3, 1], [4, 1]],
+                                       closed=False),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_rounding_cases()))
+def test_fillet_and_sample_equal_the_corner_and_point_loops(name):
+    poly = _rounding_cases()[name]
+    # radius 100 is clamped at every corner
+    arcs = [p for p in fillet_smooth(poly, 100.0).pieces if isinstance(p, Arc)]
+    assert arcs and all(a.radius < 100.0 for a in arcs)
+    for radius in (0.05, 1e-3, 100.0):
+        # converge's default step, then coarser and finer ones
+        step = fillet_smooth(poly, radius).length() / max(4 * poly.num_vertices, 64)
+        _assert_same_as_reference(poly, radius, [step, 7 * step, step / 5])
+
+
+def test_coarse_sample_fallback_equals_the_piece_walk():
+    e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    circle = Arc(center=np.zeros(2), radius=1.0, e1=e1, e2=e2, turning=2 * math.pi)
+    half = Arc(center=np.zeros(2), radius=1.0, e1=e1, e2=e2, turning=math.pi)
+    diameter = Segment(np.array([-1.0, 0.0]), np.array([1.0, 0.0]))
+    for pieces in ([circle], [half, diameter], [diameter, half]):
+        smooth = SmoothedCurve(pieces=pieces, closed=True)
+        with pytest.warns(UserWarning, match="coarse"):
+            pts = smooth.sample(100.0).vertices
+        assert np.array_equal(pts, sample_reference(smooth, 100.0))
+
+
+def _vertex_arrays(dim):
+    return st.integers(3, 12).flatmap(lambda n: arrays(
+        np.float64, (n, dim), elements=st.floats(-4.0, 4.0, allow_nan=False, width=64)))
+
+
+@given(st.booleans(), st.sampled_from([2, 3]).flatmap(_vertex_arrays), st.floats(1e-4, 10.0),
+       st.integers(1, 400))
+def test_fillet_and_sample_property_equal_the_loops(closed, v, radius, parts):
+    edges = np.roll(v, -1, axis=0) - v if closed else np.diff(v, axis=0)
+    assume(np.all(np.linalg.norm(edges, axis=1) > 1e-9))
+    poly = PolyCurve(v, closed=closed)
+    assume(not np.any(poly._atoms[1] >= math.pi - 1e-9))
+    _assert_same_as_reference(poly, radius, [poly.length / parts])
 
 
 # ---------------------------------------------------------------------------
@@ -554,13 +758,8 @@ def test_frechet_closed_against_recursive_oracle_over_shifts():
         assert math.isclose(discrete_frechet(a, b), oracle, rel_tol=0.0, abs_tol=1e-12)
 
 
-def _closed_vertices(dim):
-    return st.integers(3, 12).flatmap(lambda n: arrays(
-        np.float64, (n, dim), elements=st.floats(-4.0, 4.0, allow_nan=False, width=64)))
-
-
-@given(st.sampled_from([2, 3]).flatmap(lambda d: st.tuples(_closed_vertices(d),
-                                                           _closed_vertices(d))))
+@given(st.sampled_from([2, 3]).flatmap(lambda d: st.tuples(_vertex_arrays(d),
+                                                           _vertex_arrays(d))))
 def test_frechet_closed_property_equals_reference(pair):
     curves = []
     for v in pair:
@@ -569,12 +768,11 @@ def test_frechet_closed_property_equals_reference(pair):
     a, b = curves
     d = discrete_frechet(a, b)
     assert d == frechet_reference(a, b)
-    if a.num_vertices != b.num_vertices:
-        assert discrete_frechet(b, a) == d
+    assert discrete_frechet(b, a) == d
 
 
 @given(st.sampled_from([2, 3]).flatmap(
-    lambda d: _closed_vertices(d).flatmap(
+    lambda d: _vertex_arrays(d).flatmap(
         lambda v: st.tuples(st.just(v), st.permutations(range(v.shape[0]))))))
 def test_frechet_closed_same_vertex_set_in_another_order_equals_reference(case):
     # the vertex Hausdorff floor is 0, which the optimum meets only when the
@@ -585,10 +783,8 @@ def test_frechet_closed_same_vertex_set_in_another_order_equals_reference(case):
         assume(np.all(np.linalg.norm(np.roll(w, -1, axis=0) - w, axis=1) > 1e-9))
         curves.append(PolyCurve(w, closed=True))
     a, b = curves
-    # equal sizes: each order shifts its second curve, so each has its own
-    # reference value
-    for x, y in ((a, b), (b, a)):
-        assert discrete_frechet(x, y) == frechet_reference(x, y)
+    d = discrete_frechet(a, b)
+    assert d == frechet_reference(a, b) == discrete_frechet(b, a)
 
 
 # ---------------------------------------------------------------------------

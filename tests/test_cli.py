@@ -204,6 +204,8 @@ def test_analyze_rejects_tiny_step_before_allocating(tmp_path, capsys):
     (["--dyadic-depth", "40"], "dyadic_depth must be between 1 and 12"),
     (["--fillet-radius", "0.05", "--resample-step", "1e-9"],
      "more than 1048576 steps along the curve; step must be at least 5.82"),
+    # a later --n-list replaces the 8
+    (["--n-list", "100000000"], "n must be between 3 and 1048576 vertices, not 100000000"),
 ])
 def test_converge_rejects_hostile_sizes_before_allocating(circle_file, capsys, args, message):
     tracemalloc.start()
