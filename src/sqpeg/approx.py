@@ -169,14 +169,14 @@ class SmoothedCurve:
         hold more than _MAX_SAMPLE_STEPS points, plus at most one per piece.
         """
         _check_positive("step", step)
-        total = self.length()
+        frames = _frames(self.pieces)
+        length = frames[3]
+        total = sum(length.tolist())  # the float length() sums, in its order
         smallest = total / _MAX_SAMPLE_STEPS
         if step < smallest:
             raise ValueError(
                 f"step {step:.6g} would take more than {_MAX_SAMPLE_STEPS} steps along "
                 f"the curve; step must be at least {smallest!r}")
-        frames = _frames(self.pieces)
-        length = frames[3]
         nsub = np.maximum(np.ceil(length / step), 1.0).astype(np.intp)
         piece = np.repeat(np.arange(nsub.size), nsub)
         j = np.arange(piece.size) - np.repeat(np.cumsum(nsub) - nsub, nsub)

@@ -12,16 +12,17 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
 
 import numpy as np
 
+from . import generators
 from .approx import convergence_report, discrete_frechet, fillet_smooth, inscribe_polygon, \
     verify_length_bound
 from .curve import PolyCurve
-from .generators import GeneratorSpec
 from .pidist import pi_distance, scan_windows
 from .solver import SolverConfig, find_quads
 
@@ -68,15 +69,13 @@ def _dumps(obj) -> str:
 
 
 def _emit(text: str, out: str | None):
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w", newline="") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _csv_text(header: list, rows: list) -> str:
@@ -110,28 +109,59 @@ def _load_curve(path: str) -> PolyCurve:
 # commands
 # ---------------------------------------------------------------------------
 
+def _given(args, *names, **renamed) -> dict:
+    """The options that were set, keyed by the library's parameter names;
+    `renamed` maps a parameter to the option that sets it.  Options left
+    unset take the library's defaults."""
+    pairs = [(name, name) for name in names] + list(renamed.items())
+    return {param: getattr(args, opt) for param, opt in pairs if getattr(args, opt) is not None}
+
+
+def _solver_config(args) -> SolverConfig:
+    return SolverConfig(**_given(args, "grid_m", "max_iter", residual_tol="tol"))
+
+
+# each kind's builder in sqpeg.generators, looked up by name at each call
+_GENERATORS = {
+    "circle": "make_circle",
+    "ellipse": "make_ellipse",
+    "regular_polygon": "make_regular_polygon",
+    "star_polygon": "make_star_polygon",
+    "fourier": "make_fourier_curve",
+    "trefoil": "make_trefoil",
+    "random_jordan": "make_random_jordan",
+}
+# generate's builder options, each named as the builder parameter it sets
+_GENERATE_OPTIONS = {
+    "samples": int, "radius": float, "a": float, "b": float, "sides": int, "points": int,
+    "r_outer": float, "r_inner": float, "scale": float, "harmonics": int,
+    "amplitude": float, "cos_coeffs": json.loads, "sin_coeffs": json.loads,
+}
+
+
 def _cmd_generate(args) -> int:
     if args.kind == "file":
+        builder, takes = None, {"from_file"}
+    else:
+        builder = getattr(generators, _GENERATORS[args.kind])
+        takes = inspect.signature(builder).parameters.keys()
+    given = _given(args, "from_file", *_GENERATE_OPTIONS)
+    extra = sorted(given.keys() - takes)
+    if extra:
+        raise _UsageError(f"generate {args.kind} takes no "
+                          + ", ".join("--" + name.replace("_", "-") for name in extra))
+    if builder is None:
         if not args.from_file:
             raise _UsageError("kind 'file' requires --from-file")
         curve = _load_curve(args.from_file)
     else:
-        params = {}
-        for key in ("radius", "a", "b", "sides", "points", "r_outer", "r_inner",
-                    "scale", "harmonics", "amplitude"):
-            val = getattr(args, key, None)
-            if val is not None:
-                params[key] = val
-        if args.cos_coeffs is not None or args.sin_coeffs is not None:
-            if args.cos_coeffs is None or args.sin_coeffs is None:
-                raise _UsageError("fourier needs both --cos-coeffs and --sin-coeffs")
-            params["cos_coeffs"] = json.loads(args.cos_coeffs)
-            params["sin_coeffs"] = json.loads(args.sin_coeffs)
-        spec = GeneratorSpec(kind=args.kind, samples=args.samples or 0,
-                             seed=args.seed, params=params)
+        if args.kind == "fourier" and not {"cos_coeffs", "sin_coeffs"} <= given.keys():
+            raise _UsageError("fourier needs both --cos-coeffs and --sin-coeffs")
+        if "seed" in takes:  # the global --seed reaches only a builder that takes one
+            given.update(_given(args, "seed"))
         try:
-            curve = spec.build()
-        except (ValueError, KeyError, RuntimeError) as exc:
+            curve = builder(**given)
+        except (ValueError, TypeError, RuntimeError) as exc:
             raise _UsageError(f"generation failed: {exc}") from None
     _emit(_dumps(curve.to_json_dict()), args.out)
     return 0
@@ -139,25 +169,20 @@ def _cmd_generate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     curve = _load_curve(args.curve)
-    L = curve.length
-    cap = args.cap if args.cap is not None else L / 2.0
-    step = args.step if args.step is not None else L / 720.0
-    cusp_tol = args.tol if args.tol is not None else 1e-6
-
-    literal = pi_distance(curve, mode="literal", step=step)
-    capped = pi_distance(curve, mode="capped", cap=cap, step=step)
+    literal = pi_distance(curve, mode="literal", **_given(args, "step"))
+    capped = pi_distance(curve, mode="capped", **_given(args, "cap", "step"))
     report = {
-        "length": L,
+        "length": curve.length,
         "total_curvature": curve.total_curvature(),
-        "cusps": curve.detect_cusps(cusp_tol),
-        "embedded": curve.is_embedded(args.clearance),
+        "cusps": curve.detect_cusps(**_given(args, "tol")),
+        "embedded": curve.is_embedded(**_given(args, "clearance")),
         "pi_distance_literal": literal.to_json_dict(),
         "pi_distance_capped": capped.to_json_dict(),
     }
     _emit(_dumps(report), args.out)
 
     if args.windows_csv:
-        windows = scan_windows(curve, cap, step)
+        windows = scan_windows(curve, **_given(args, "cap"))
         rows = [(w.a, w.b, w.kappa, w.chord, w.arclen) for w in windows]
         _emit(_csv_text(["a", "b", "kappa", "chord", "arclen"], rows), args.windows_csv)
     return 0
@@ -183,10 +208,7 @@ def _cmd_find(args) -> int:
     curve = _load_curve(args.curve)
     if not curve.closed:
         raise _UsageError("find requires a closed curve")
-    cfg = SolverConfig(grid_m=args.grid_m, max_iter=args.max_iter)
-    if args.tol is not None:
-        cfg.residual_tol = args.tol
-    solset = find_quads(curve, cfg)
+    solset = find_quads(curve, _solver_config(args))
     _emit(_dumps(solset.to_json_dict()), args.out)
     if args.csv:
         _emit(_csv_text(_SOLUTION_HEADER, _solution_rows(solset)), args.csv)
@@ -200,19 +222,18 @@ def _cmd_converge(args) -> int:
     n_list = [int(x) for x in args.n_list.split(",")]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise _UsageError("--n-list must be strictly increasing")
-    cfg = SolverConfig(grid_m=args.grid_m, max_iter=args.max_iter)
-    if args.tol is not None:
-        cfg.residual_tol = args.tol
+    cfg = _solver_config(args)
+    # every N is inscribed first, so a refused N costs no other row's work
+    inscribed = [inscribe_polygon(curve, n) for n in n_list]
 
     rows = []
-    for n in n_list:
-        approx = inscribe_polygon(curve, n)
+    for n, approx in zip(n_list, inscribed):
         if args.fillet_radius is not None:
             smooth = fillet_smooth(approx, args.fillet_radius)
             step = args.resample_step if args.resample_step is not None \
                 else smooth.length() / max(4 * n, 64)
             approx = smooth.sample(step)
-        rep = convergence_report(curve, approx, dyadic_depth=args.dyadic_depth, index=n)
+        rep = convergence_report(curve, approx, index=n, **_given(args, "dyadic_depth"))
         solset = find_quads(approx, cfg)
         if solset.solutions:
             min_side = min(float(np.mean(s.sides)) for s in solset.solutions)
@@ -254,58 +275,46 @@ def _cmd_frechet(args) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sqpeg", description=__doc__)
-    parser.add_argument("--seed", type=int, default=0, help="random seed (generators)")
-    parser.add_argument("--tol", type=float, default=None,
+    parser.add_argument("--seed", type=int, help="random seed (random_jordan)")
+    parser.add_argument("--tol", type=float,
                         help="context tolerance (cusp angle for analyze, residual for find)")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
+    parser.add_argument("--out", help="output path (default: stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="write a curve JSON file")
-    gen.add_argument("kind", choices=["circle", "ellipse", "regular_polygon", "star_polygon",
-                                      "fourier", "trefoil", "random_jordan", "file"])
-    gen.add_argument("--samples", type=int, default=None)
-    gen.add_argument("--radius", type=float, default=None)
-    gen.add_argument("--a", type=float, default=None)
-    gen.add_argument("--b", type=float, default=None)
-    gen.add_argument("--sides", type=int, default=None)
-    gen.add_argument("--points", type=int, default=None)
-    gen.add_argument("--r-outer", dest="r_outer", type=float, default=None)
-    gen.add_argument("--r-inner", dest="r_inner", type=float, default=None)
-    gen.add_argument("--scale", type=float, default=None)
-    gen.add_argument("--harmonics", type=int, default=None)
-    gen.add_argument("--amplitude", type=float, default=None)
-    gen.add_argument("--cos-coeffs", default=None, help="JSON array per coordinate")
-    gen.add_argument("--sin-coeffs", default=None, help="JSON array per coordinate")
-    gen.add_argument("--from-file", default=None)
+    gen = sub.add_parser("generate", help="write a curve JSON file; unset options take the "
+                                          "defaults of sqpeg.generators.make_*")
+    gen.add_argument("kind", choices=[*_GENERATORS, "file"])
+    for name, parse in _GENERATE_OPTIONS.items():
+        gen.add_argument("--" + name.replace("_", "-"), dest=name, type=parse,
+                         help="JSON array per coordinate" if parse is json.loads else None)
+    gen.add_argument("--from-file")
     gen.set_defaults(func=_cmd_generate)
 
     ana = sub.add_parser("analyze", help="length, curvature, cusps, pi-distance")
     ana.add_argument("curve")
-    ana.add_argument("--cap", type=float, default=None, help="arclength cap (default L/2)")
-    ana.add_argument("--step", type=float, default=None,
+    ana.add_argument("--cap", type=float, help="arclength cap of the capped pi-distance")
+    ana.add_argument("--step", type=float,
                      help="wrap margin of the pi-distances on closed curves (subarcs "
-                          "up to L - step), reported as resolution (default L/720)")
-    ana.add_argument("--clearance", type=float, default=0.0)
-    ana.add_argument("--windows-csv", default=None,
-                     help="also write the minimal curvature windows as CSV")
+                          "up to L - step), reported as resolution")
+    ana.add_argument("--clearance", type=float)
+    ana.add_argument("--windows-csv", help="also write the minimal curvature windows as CSV")
     ana.set_defaults(func=_cmd_analyze)
 
     fnd = sub.add_parser("find", help="search for inscribed square-like quadrilaterals")
     fnd.add_argument("curve")
-    fnd.add_argument("--grid-m", dest="grid_m", type=int, default=24)
-    fnd.add_argument("--max-iter", dest="max_iter", type=int, default=60)
-    fnd.add_argument("--csv", default=None, help="also write solutions as CSV")
+    fnd.add_argument("--grid-m", type=int)
+    fnd.add_argument("--max-iter", type=int)
+    fnd.add_argument("--csv", help="also write solutions as CSV")
     fnd.set_defaults(func=_cmd_find)
 
     cnv = sub.add_parser("converge", help="inscription convergence experiment")
     cnv.add_argument("curve")
-    cnv.add_argument("--n-list", dest="n_list", required=True,
-                     help="comma-separated increasing vertex counts")
-    cnv.add_argument("--fillet-radius", dest="fillet_radius", type=float, default=None)
-    cnv.add_argument("--resample-step", dest="resample_step", type=float, default=None)
-    cnv.add_argument("--dyadic-depth", dest="dyadic_depth", type=int, default=6)
-    cnv.add_argument("--grid-m", dest="grid_m", type=int, default=24)
-    cnv.add_argument("--max-iter", dest="max_iter", type=int, default=60)
+    cnv.add_argument("--n-list", required=True, help="comma-separated increasing vertex counts")
+    cnv.add_argument("--fillet-radius", type=float)
+    cnv.add_argument("--resample-step", type=float)
+    cnv.add_argument("--dyadic-depth", type=int)
+    cnv.add_argument("--grid-m", type=int)
+    cnv.add_argument("--max-iter", type=int)
     cnv.set_defaults(func=_cmd_converge)
 
     frc = sub.add_parser("frechet", help="discrete Frechet distance and the length bound")

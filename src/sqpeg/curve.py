@@ -299,7 +299,7 @@ class PolyCurve:
         tail = between(np.searchsorted(pos, 0.0, side="right"), hi)
         return np.where(wraps, (head + seam) + tail, head)
 
-    def detect_cusps(self, tol: float):
+    def detect_cusps(self, tol: float = 1e-6):
         """Vertex indices whose turning angle is within tol of a full reversal."""
         _check_positive("tol", tol)
         _, ang = self._atoms

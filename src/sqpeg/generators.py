@@ -1,16 +1,17 @@
 """Test-corpus curve generators: conics, polygons, Fourier curves, a trefoil,
-and rejection-sampled random Jordan curves."""
+and rejection-sampled random Jordan curves.
+
+The defaults of the make_* signatures are the defaults of `sqpeg generate`,
+which passes a builder only the options that were given.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .curve import PolyCurve
 
 __all__ = [
-    "GeneratorSpec",
     "make_circle",
     "make_ellipse",
     "make_regular_polygon",
@@ -34,7 +35,7 @@ def make_ellipse(a: float = 2.0, b: float = 1.0, samples: int = 512) -> PolyCurv
     return PolyCurve(np.column_stack([a * np.cos(t), b * np.sin(t)]), closed=True)
 
 
-def make_regular_polygon(sides: int, radius: float = 1.0) -> PolyCurve:
+def make_regular_polygon(sides: int = 6, radius: float = 1.0) -> PolyCurve:
     t = 2.0 * np.pi * np.arange(sides) / sides
     return PolyCurve(np.column_stack([radius * np.cos(t), radius * np.sin(t)]), closed=True)
 
@@ -133,35 +134,3 @@ def make_diagonal(samples: int = 2) -> PolyCurve:
     """The diagonal of the unit square, sampled with `samples` vertices."""
     f = np.linspace(0.0, 1.0, samples)
     return PolyCurve(np.column_stack([f, f]), closed=False)
-
-
-@dataclass
-class GeneratorSpec:
-    """Declarative curve request used by the command-line layer."""
-
-    kind: str
-    samples: int = 0
-    seed: int = 0
-    params: dict = field(default_factory=dict)
-
-    _BUILDERS = {
-        "circle": lambda s: make_circle(s.params.get("radius", 1.0), s.samples or 360),
-        "ellipse": lambda s: make_ellipse(s.params.get("a", 2.0), s.params.get("b", 1.0),
-                                          s.samples or 512),
-        "regular_polygon": lambda s: make_regular_polygon(int(s.params.get("sides", 6)),
-                                                          s.params.get("radius", 1.0)),
-        "star_polygon": lambda s: make_star_polygon(int(s.params.get("points", 5)),
-                                                    s.params.get("r_outer", 1.0),
-                                                    s.params.get("r_inner", 0.5)),
-        "fourier": lambda s: make_fourier_curve(s.params["cos_coeffs"], s.params["sin_coeffs"],
-                                                s.samples or 512),
-        "trefoil": lambda s: make_trefoil(s.samples or 1024, s.params.get("scale", 1.0)),
-        "random_jordan": lambda s: make_random_jordan(s.samples or 256, s.seed,
-                                                      int(s.params.get("harmonics", 5)),
-                                                      s.params.get("amplitude", 0.35)),
-    }
-
-    def build(self) -> PolyCurve:
-        if self.kind not in self._BUILDERS:
-            raise ValueError(f"unknown generator kind '{self.kind}'")
-        return self._BUILDERS[self.kind](self)

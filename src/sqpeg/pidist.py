@@ -261,17 +261,19 @@ class _RunScanner:
                 for a, b, kap, ch, arc in rows]
 
 
-def scan_windows(curve: PolyCurve, cap: float, step: float):
+def scan_windows(curve: PolyCurve, cap: Optional[float] = None):
     """One minimum-chord window per minimal corner run reaching turning pi.
 
     For every corner i, the shortest run i..k whose turning sum first reaches
     pi is located; the window endpoints then range over the two free boundary
-    edges, and the chord is minimized exactly under the arclength cap.
-    Windows whose minimal arclength exceeds `cap` are dropped.  Returns an
-    empty list when no run reaches turning pi.  `step` is validated only.
+    edges, and the chord is minimized exactly under the arclength cap
+    (default L/2, as in `pi_distance`).  Windows whose minimal arclength
+    exceeds `cap` are dropped.  Returns an empty list when no run reaches
+    turning pi.
     """
+    if cap is None:
+        cap = curve.length / 2.0
     _check_positive("cap", cap)
-    _check_step(curve, step)
     scanner = _RunScanner(curve)
     i = np.arange(scanner.n)
     k = scanner.k_first(i)

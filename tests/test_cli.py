@@ -293,6 +293,14 @@ def test_converge_square_side_floor_regression(tmp_path):
         assert math.isclose(float(r[5]), 1.0, abs_tol=0.02)
 
 
+def test_converge_refuses_every_n_before_any_row(circle_file, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("sqpeg.cli.find_quads", lambda *args: calls.append(args))
+    assert run(["converge", circle_file, "--n-list", "64,100000000", "--grid-m", "24"]) == 1
+    assert calls == []
+    assert "not 100000000" in capsys.readouterr().err
+
+
 def test_converge_rejects_bad_n_list(tmp_path, circle_file, capsys):
     assert run(["--out", str(tmp_path / "x.csv"), "converge", circle_file,
                 "--n-list", "16,8"]) == 1
@@ -309,6 +317,7 @@ def test_frechet_identical(tmp_path, circle_file):
 def test_usage_error_exit_code():
     assert run(["no-such-command"]) == 1
     assert run([]) == 1
+    assert run(["generate", "no-such-kind"]) == 1
 
 
 def test_stdout_emission(capsys, tmp_path):
@@ -320,3 +329,26 @@ def test_stdout_emission(capsys, tmp_path):
     assert run(["analyze", str(src)]) == 0
     out = capsys.readouterr().out
     assert json.loads(out)["length"] == 4
+
+
+@pytest.mark.parametrize("command, tol, defaults", [
+    (["analyze", "--windows-csv", "{csv}"], "1e-6",
+     ["--cap", "{half}", "--step", "{step}", "--clearance", "0"]),
+    (["find", "--csv", "{csv}"], "1e-9", ["--grid-m", "24", "--max-iter", "60"]),
+    (["converge", "--n-list", "8,16", "--fillet-radius", "0.05"], "1e-9",
+     ["--grid-m", "24", "--max-iter", "60", "--dyadic-depth", "6"]),
+])
+def test_unset_options_take_the_library_defaults(tmp_path, circle_file, command, tol,
+                                                 defaults):
+    L = PolyCurve.from_json_dict(read_json(circle_file)).length
+
+    def outputs(name, spelled):
+        out, csv = tmp_path / f"{name}.out", tmp_path / f"{name}.csv"
+        fill = {"csv": str(csv), "half": repr(L / 2), "step": repr(L / 720)}
+        argv = ["--out", str(out), *(["--tol", tol] if spelled else []), command[0],
+                circle_file, *command[1:], *(defaults if spelled else [])]
+        assert run([a.format(**fill) for a in argv]) == 0
+        return [p.read_bytes() for p in (out, csv) if p.exists()]
+
+    bare = outputs("bare", spelled=False)
+    assert bare and bare == outputs("spelled", spelled=True)

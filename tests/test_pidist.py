@@ -148,12 +148,12 @@ def test_closed_form_run_minimum_against_sampled_scan(name):
 
 def test_scan_windows_straight_polyline_empty():
     straight = PolyCurve([[0, 0], [1, 0], [2, 0], [3, 0]], closed=False)
-    assert scan_windows(straight, cap=3.0, step=0.01) == []
+    assert scan_windows(straight, cap=3.0) == []
 
 
 def test_scan_windows_square():
     sq = make_unit_square()
-    windows = scan_windows(sq, cap=2.0, step=0.01)
+    windows = scan_windows(sq, cap=2.0)
     assert len(windows) == 4
     for w in windows:
         assert w.kappa >= math.pi - 1e-12
@@ -164,7 +164,7 @@ def test_scan_windows_square():
 def test_scan_windows_circle_semicircle_chord():
     c = make_circle(1.0, 360)
     L = c.length
-    windows = scan_windows(c, cap=L / 2, step=L / 720)
+    windows = scan_windows(c, cap=L / 2)
     assert windows
     for w in windows:
         assert w.kappa >= math.pi - 1e-12
@@ -172,10 +172,16 @@ def test_scan_windows_circle_semicircle_chord():
         assert abs(w.arclen - L / 2) < 3 * L / 360
 
 
+def test_scan_windows_cap_defaults_to_half_the_length():
+    c = make_ellipse(2, 1, 128)
+    assert scan_windows(c) == scan_windows(c, cap=c.length / 2)
+    assert pi_distance(c).cap == c.length / 2
+
+
 def test_window_invariants():
     for curve in (make_unit_square(), make_circle(1.0, 120), make_ellipse(2, 1, 128)):
         cap = curve.length / 2
-        for w in scan_windows(curve, cap=cap, step=curve.length / 256):
+        for w in scan_windows(curve, cap=cap):
             assert w.kappa >= math.pi - 1e-12
             assert w.arclen <= cap + curve.length / 256
             assert w.chord <= w.arclen + 1e-12
@@ -189,7 +195,7 @@ def test_corner_windows_stay_within_the_cap(n, seed):
     curve = make_random_jordan(n, seed=seed)
     L = curve.length
     cap = L / 2
-    windows = scan_windows(curve, cap, L / 720)
+    windows = scan_windows(curve, cap)
     windows.append(pi_distance(curve, "capped", cap=cap).witness)
     for w in windows:
         assert w.arclen - cap <= 1e-15 * L
@@ -205,7 +211,7 @@ def test_corner_window_slide_stays_on_the_run(reverse):
     verts = np.array([(-2.0, 0.0), (0.0, 0.0), (0.5, math.sqrt(3) / 2), (-3.0, math.sqrt(3) / 2)])
     curve = PolyCurve(verts[::-1] if reverse else verts, closed=True)
     cap = float(np.linalg.norm(verts[2] - verts[1])) + 1e-13
-    windows = scan_windows(curve, cap, curve.length / 720)
+    windows = scan_windows(curve, cap)
     assert len(windows) == 1
     windows.append(pi_distance(curve, "capped", cap=cap).witness)
     for w in windows:
@@ -273,14 +279,9 @@ def test_capped_monotone_in_cap():
 def test_step_grid_bounded_per_edge():
     sq = make_unit_square()
     for call in (lambda: pi_distance(sq, mode="literal", step=1e-6),
-                 lambda: pi_distance(sq, mode="capped", step=1e-6),
-                 lambda: scan_windows(sq, cap=2.0, step=1e-6)):
+                 lambda: pi_distance(sq, mode="capped", step=1e-6)):
         with pytest.raises(ValueError, match="at most 2048 are allowed"):
             call()
-    # the heptagon at L/11520 puts about 1650 samples on each edge; the
-    # tiny cap leaves no feasible run, so no grid is built
-    hept = make_regular_polygon(7)
-    assert scan_windows(hept, cap=1e-3, step=hept.length / 11520) == []
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
@@ -289,8 +290,7 @@ def test_cap_and_step_must_be_finite_and_positive(value):
     for name, call in (("cap", lambda: pi_distance(sq, mode="capped", cap=value)),
                        ("step", lambda: pi_distance(sq, mode="literal", step=value)),
                        ("step", lambda: pi_distance(sq, mode="capped", step=value)),
-                       ("cap", lambda: scan_windows(sq, cap=value, step=0.01)),
-                       ("step", lambda: scan_windows(sq, cap=2.0, step=value))):
+                       ("cap", lambda: scan_windows(sq, cap=value))):
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             call()
 
