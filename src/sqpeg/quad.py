@@ -33,9 +33,14 @@ def _sides_and_residuals(pts):
     |pr|^2, |qs|^2 (k, 2), residual (k, 4) and mean side (k,)."""
     chords = pts[:, _HEAD] - pts[:, _TAIL]
     chord_sq = np.einsum("kij,kij->ki", chords, chords)
-    res = chord_sq[:, _PLUS] - chord_sq[:, _MINUS]
     sides = np.sqrt(chord_sq[:, :4])
-    return chords, sides, chord_sq[:, 4:], res, sides.sum(axis=1) / 4.0
+    return (chords, sides, chord_sq[:, 4:]) + _residuals_of_chords(chord_sq, sides)
+
+
+def _residuals_of_chords(chord_sq, sides) -> tuple[np.ndarray, np.ndarray]:
+    """Residual (k, 4) and mean side (k,) of quads with squared chords
+    (k, 6) and side lengths (k, 4)."""
+    return chord_sq[:, _PLUS] - chord_sq[:, _MINUS], sides.sum(axis=1) / 4.0
 
 
 def _residual_jacobian(chords, tangents) -> np.ndarray:

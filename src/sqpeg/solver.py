@@ -8,9 +8,11 @@ of the quadrilateral (cyclic shifts and reversal).
 
 from __future__ import annotations
 
+import logging
 import math
 import numbers
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -18,7 +20,8 @@ import numpy as np
 
 from .curve import PolyCurve, _check_positive, _cyclic_gaps, _winds_once
 from .pidist import verify_quad_arc_curvature
-from .quad import _measure, _norms, _residual_jacobian, _residuals_of_points, _sides_and_residuals
+from .quad import (_HEAD, _TAIL, _measure, _norms, _residual_jacobian, _residuals_of_chords,
+                   _sides_and_residuals)
 
 __all__ = [
     "SolverConfig",
@@ -31,10 +34,11 @@ __all__ = [
     "parity_report",
 ]
 
+_log = logging.getLogger(__name__)
 _ARC_KAPPA_TOL = 1e-6
 # largest accepted grid_m: seeding holds the C(grid_m, 4) grid tuples and
-# their scores, scored in blocks; seed_grid peaks at about 52 MB at 64
-# (tracemalloc, trefoil512), and find_quads at 86 MB of resident memory
+# their scores, scored in blocks; seed_grid peaks at about 47 MB at 64
+# (tracemalloc, trefoil512), and find_quads at 80 MB of resident memory
 _MAX_GRID_M = 64
 # the 8 relabelings of a quadrilateral: 4 cyclic shifts, then the same of its
 # reversal; row r of params[..., _RELABEL] is image r
@@ -42,6 +46,8 @@ _RELABEL = np.array([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2],
                      [3, 2, 1, 0], [2, 1, 0, 3], [1, 0, 3, 2], [0, 3, 2, 1]])
 # grid tuples scored per block while seeding
 _BLOCK = 1 << 16
+# the least relative reduction of a seed's squared score per step (_refine_batch)
+_FTOL = 1e-6
 
 
 @dataclass
@@ -163,20 +169,25 @@ def _grid_local_minima(curve: PolyCurve, m: int, cfg: SolverConfig):
     """Grid-local minima of the normalized residual on an m-point equispaced
     arclength grid, as (params (k, 4), norms (k,)) in lexicographic order.
 
-    Every sorted index 4-subset is scored, block by block; tuples with mean
-    side under min_side score inf.  A tuple is kept when its score is finite
-    and no larger than any of its 8 axis neighbours (index a moved by +-1);
-    a neighbour that is not a sorted 4-subset of range(m) does not count.
+    Every sorted index 4-subset is scored, block by block, from one table of
+    the squared chords between grid points; tuples with mean side under
+    min_side score inf.  A tuple is kept when its score is finite and no
+    larger than any of its 8 axis neighbours (index a moved by +-1); a
+    neighbour that is not a sorted 4-subset of range(m) does not count.
     Tuples with a cyclic gap under gap_min are then dropped.
     """
     L = curve.length
     grid = np.arange(m) * (L / m)
     combos = _combinations4(m)
     pts = curve.point_at(grid)
+    diff = pts[None, :, :] - pts[:, None, :]
+    chord_sq = np.einsum("ijd,ijd->ij", diff, diff)  # |pts[j] - pts[i]|^2
+    chord = np.sqrt(chord_sq)
     n = combos.shape[0]
     norms, keep = np.empty(n), np.empty(n, dtype=bool)
     for lo in range(0, n, _BLOCK):
-        res, mean_side = _residuals_of_points(pts[combos[lo:lo + _BLOCK]])
+        tail, head = combos[lo:lo + _BLOCK, _TAIL], combos[lo:lo + _BLOCK, _HEAD]
+        res, mean_side = _residuals_of_chords(chord_sq[tail, head], chord[tail[:, :4], head[:, :4]])
         norms[lo:lo + _BLOCK] = np.where(mean_side >= cfg.min_side, _norms(res, mean_side), np.inf)
     # combos is lexicographic, so a tuple's rank is its row; moving entry a by
     # +1 adds C(m-2-c_a, 3-a) to the rank, by -1 subtracts C(m-1-c_a, 3-a)
@@ -222,7 +233,9 @@ def refine(curve: PolyCurve, seed, config: Optional[SolverConfig] = None):
     (None, reason) with reason in {diverged, collapsed, ordering_broken,
     small_side}; residual_tol is tested on the returned tuple.  Each step
     uses the exact Jacobian of the cells the parameters lie in (their
-    polygon edges), where the residual is quadratic in the parameters.
+    polygon edges), where the residual is quadratic in the parameters.  The
+    seed stops once a step reduces the square of its normalized norm by
+    less than _FTOL = 1e-6 of itself (see _refine_batch).
     """
     cfg = (config or SolverConfig()).resolved(curve)
     return _refine_batch(curve, np.asarray(seed, dtype=float).reshape(1, 4), cfg)[0]
@@ -238,7 +251,13 @@ def _refine_batch(curve: PolyCurve, seeds: np.ndarray, cfg: SolverConfig) -> lis
     lam * 10^j, j = 0..9 (built by repeated x10): rung 0 for every seed,
     then rungs 1-9 at once for the seeds rung 0 did not improve.  A seed
     takes its first improving rung and lam becomes max(rung lam / 3, 1e-12);
-    a seed that no rung improves has stalled and stops.
+    a seed that no rung improves has stalled and stops, and so has one whose
+    step gives 1 - (norm_new / norm_old)^2 < _FTOL on the score steps are
+    accepted by (_norms).  That is the actual-reduction half of MINPACK's
+    ftol test (More 1978); its predicted-reduction half never holds on the
+    seeds this stops, quads that shrink at a flat score.  On the gate curves
+    at grid_m 8, 24 and 48 no converging seed cuts its squared score by less
+    than 3.4e-5 in one step, 34 times _FTOL.
     """
     K = seeds.shape[0]
     if K == 0:
@@ -257,7 +276,7 @@ def _refine_batch(curve: PolyCurve, seeds: np.ndarray, cfg: SolverConfig) -> lis
         idx = np.nonzero(active)[0]
         if idx.size == 0:
             break
-        ta = t[idx]
+        ta, norm0 = t[idx], norm[idx]
         jac = _residual_jacobian(chords[idx], tangents[idx])
         jt = jac.transpose(0, 2, 1)
         jtj = jt @ jac
@@ -301,8 +320,8 @@ def _refine_batch(curve: PolyCurve, seeds: np.ndarray, cfg: SolverConfig) -> lis
             accepted_step[acc] = np.max(np.abs(delta[pick]), axis=1)
             pending[acc] = False
 
-        # seeds with no accepted trial have stalled; tiny accepted steps stop
-        stalled = pending | (accepted_step < 1e-15 * L)
+        # no accepted trial or too small a reduction (inf-safe: no division) stalls; tiny steps stop
+        stalled = pending | (accepted_step < 1e-15 * L) | (norm[idx] > math.sqrt(1.0 - _FTOL) * norm0)
         active[idx[stalled]] = False
 
     # the sorted tuple, a relabeling when it winds once, is tested and reported
@@ -449,6 +468,9 @@ def find_quads(curve: PolyCurve, config: Optional[SolverConfig] = None) -> Solut
     # greedy classes in (t1, t2, t3, t4) order; the first member represents each
     accepted = accepted[np.lexsort(accepted.T[::-1])]
     reps = accepted[_greedy_classes(accepted, curve.length, cfg.dedup_tol)]
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("find_quads: %d seeds, refine outcomes %s, raw_count %d, %d classes", len(outcomes),
+                   dict(sorted(Counter(r for _, r in outcomes).items())), len(accepted), len(reps))
     return _solution_set(curve, reps, len(accepted), "", cfg.dedup_tol, {
         "grid_m": cfg.grid_m,
         "dedup_tol": cfg.dedup_tol,

@@ -2,9 +2,12 @@
 
 import dataclasses
 import itertools
+import json
+import logging
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from sqpeg.generators import (
     make_trefoil,
     make_unit_square,
 )
-from sqpeg.quad import Quad, _residual_jacobian
+from sqpeg.quad import Quad, _residual_jacobian, _residuals_of_points
 from sqpeg.solver import (
     SolverConfig,
     brute_force_oracle,
@@ -89,7 +92,7 @@ def _cube_local_minima(curve, m, cfg):
     L = curve.length
     grid = np.arange(m) * (L / m)
     combos = solver._combinations4(m)
-    res, mean_side = solver._residuals_of_points(curve.point_at(grid)[combos])
+    res, mean_side = _residuals_of_points(curve.point_at(grid)[combos])
     norms = np.where(mean_side >= cfg.min_side, solver._norms(res, mean_side), np.inf)
     cube = np.full((m + 2,) * 4, np.inf)
     cube[tuple(combos.T + 1)] = norms
@@ -107,7 +110,7 @@ def _cube_local_minima(curve, m, cfg):
 
 def _mean_sides(curve, m):
     grid = np.arange(m) * (curve.length / m)
-    return solver._residuals_of_points(curve.point_at(grid)[solver._combinations4(m)])[1]
+    return _residuals_of_points(curve.point_at(grid)[solver._combinations4(m)])[1]
 
 
 def _strict_config(curve):
@@ -150,6 +153,28 @@ def test_seed_grid_memory_at_the_largest_grid():
         tracemalloc.stop()
     assert len(seeds) > 0
     assert peak < 80 * 10**6
+
+
+@pytest.mark.parametrize("name", ["ellipse512", "trefoil512"])
+def test_chord_table_scores_equal_the_point_kernel(corpus, monkeypatch, name):
+    # seeding gathers every tuple's chords from one table of grid chords; the
+    # point kernel gathers the tuple's grid points (ellipse 2-D, trefoil 3-D)
+    curve = corpus[name]
+    cfg = SolverConfig().resolved(curve)
+    real = solver._norms
+    for m in (8, 24, 48, 64):
+        scored = []
+        monkeypatch.setattr(solver, "_norms", lambda res, ms: scored.append((res, ms)) or real(res, ms))
+        solver._grid_local_minima(curve, m, cfg)
+        monkeypatch.setattr(solver, "_norms", real)
+        res, mean_side = (np.concatenate(parts) for parts in zip(*scored))
+        pts = curve.point_at(np.arange(m) * (curve.length / m))
+        combos = solver._combinations4(m)
+        assert res.shape == (len(combos), 4), m
+        for lo in range(0, len(combos), solver._BLOCK):
+            ref = _residuals_of_points(pts[combos[lo:lo + solver._BLOCK]])
+            assert np.array_equal(res[lo:lo + solver._BLOCK], ref[0]), m
+            assert np.array_equal(mean_side[lo:lo + solver._BLOCK], ref[1]), m
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +384,42 @@ def test_batched_ladder_matches_sequential_trials(corpus):
                               _ref_refine_batch(curve, seeds, cfg), label)
 
 
+def test_ftol_stop_ends_the_triangle_refinement_early(corpus, monkeypatch):
+    # the last seed of triangle345 that converges at grid_m 24 needs 9
+    # iterations; without the ftol stop the seeds that end diverged kept the
+    # loop running for 54.  The cell Jacobian is taken once per iteration.
+    iterations = []
+    real = solver._residual_jacobian
+    monkeypatch.setattr(solver, "_residual_jacobian",
+                        lambda chords, tangents: iterations.append(len(chords)) or real(chords, tangents))
+    curve = corpus["triangle345"]
+    cfg = SolverConfig(grid_m=24).resolved(curve)
+    outcomes = solver._refine_batch(curve, seed_grid(curve, cfg), cfg)
+    assert sum(r == "converged" for _, r in outcomes) == 57
+    assert len(iterations) <= 35
+
+
+def test_ftol_stop_keeps_the_gate_outputs(corpus, monkeypatch):
+    for name, curve in _gate_curves(corpus).items():
+        for m in (8, 24, 48):
+            cfg = SolverConfig(grid_m=m)
+            new = json.dumps(_find_quietly(curve, cfg).to_json_dict())
+            with monkeypatch.context() as mp:
+                mp.setattr(solver, "_FTOL", 0.0)  # no accepted step fails the test
+                assert json.dumps(_find_quietly(curve, cfg).to_json_dict()) == new, (name, m)
+
+
+@given(st.integers(0, 2**16), st.sampled_from([8, 24]))
+def test_ftol_stop_property_keeps_the_solution_sets(seed, m):
+    curve = make_random_jordan(64, seed=seed)
+    cfg = SolverConfig(grid_m=m)
+    new = _find_quietly(curve, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_FTOL", 0.0)
+        old = _find_quietly(curve, cfg)
+    _assert_same_classes(new, old, curve.length, (seed, m), rel=cfg.residual_tol)
+
+
 def test_ladder_falls_back_to_one_solve_per_row(corpus, monkeypatch):
     real = np.linalg.solve
 
@@ -502,6 +563,19 @@ def test_trefoil_solutions():
         assert s.open_turning >= math.pi - 1e-6
         assert s.theta < math.pi / 4
         assert s.arc_kappa_ok
+
+
+def test_find_quads_logs_its_stage_counts(ellipse, ellipse_solutions, caplog):
+    cfg = SolverConfig().resolved(ellipse)
+    seeds = seed_grid(ellipse, cfg)
+    outcomes = dict(sorted(Counter(r for _, r in solver._refine_batch(ellipse, seeds, cfg)).items()))
+    with caplog.at_level(logging.DEBUG, logger="sqpeg.solver"):
+        sol = find_quads(ellipse)
+    assert [r.getMessage() for r in caplog.records if r.name == "sqpeg.solver"] == [
+        f"find_quads: {len(seeds)} seeds, refine outcomes {outcomes}, "
+        f"raw_count {sol.raw_count}, {len(sol.solutions)} classes"]
+    assert outcomes == {"converged": 40, "diverged": 93}
+    assert sol.to_json_dict() == ellipse_solutions.to_json_dict()
 
 
 def test_solution_set_invariants(ellipse, ellipse_solutions):
@@ -664,14 +738,14 @@ def test_solution_annotation_matches_per_quad_reference(corpus):
                 assert np.array_equal(s.points, curve.point_at(s.params)), name
 
 
-def _assert_same_classes(new, old, L, label):
+def _assert_same_classes(new, old, L, label, rel=1e-8):
     assert len(new.solutions) == len(old.solutions), label
     assert new.non_generic == old.non_generic, label
     assert new.parity_note == old.parity_note, label
     for ours, theirs in ((new, old), (old, new)):
         for a in ours.solutions:
             d = min(symmetry_distance(a.params, b.params, L) for b in theirs.solutions)
-            assert d <= 1e-8 * L, label
+            assert d <= rel * L, label
 
 
 def test_cell_jacobian_keeps_the_finite_difference_solution_sets(corpus, monkeypatch):
@@ -719,7 +793,7 @@ def _quartile_seed_grid(curve, config=None):
     gaps = np.diff(np.column_stack([params, params[:, :1] + L]), axis=1)
     keep = np.min(gaps, axis=1) >= cfg.gap_min
     combos, params = combos[keep], params[keep]
-    norms = solver._norms(*solver._residuals_of_points(curve.point_at(grid)[combos]))
+    norms = solver._norms(*_residuals_of_points(curve.point_at(grid)[combos]))
     return params[norms <= np.percentile(norms, 25.0)]
 
 
