@@ -11,7 +11,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .curve import PolyCurve, _check_positive
+from .curve import _MIN_EDGE_FRACTION, PolyCurve, _check_positive
 
 __all__ = [
     "Segment",
@@ -161,7 +161,8 @@ class SmoothedCurve:
 
         Each piece gives the starts of its ceil(length/step) equal parts (at
         least one), an open curve its end too, all in one array evaluation;
-        a point within 1e-15 of the one before is dropped.  Fewer than 3
+        a point within max(1e-15, 2^-51 of the length) of the one before is
+        dropped, as PolyCurve refuses a shorter edge.  Fewer than 3
         points (2 if open) are replaced, with a warning, by as many points
         equally spaced by arclength.
 
@@ -183,7 +184,8 @@ class SmoothedCurve:
         pts = _points(frames, piece, length[piece] * j / nsub[piece])
         if not self.closed:
             pts = np.vstack((pts, self.pieces[-1].end))
-        keep = np.concatenate(([True], np.linalg.norm(np.diff(pts, axis=0), axis=1) > 1e-15))
+        gap = max(1e-15, _MIN_EDGE_FRACTION * total)
+        keep = np.concatenate(([True], np.linalg.norm(np.diff(pts, axis=0), axis=1) > gap))
         pts = pts[keep]
         minimum = 3 if self.closed else 2
         if pts.shape[0] < minimum:

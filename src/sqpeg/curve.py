@@ -13,6 +13,13 @@ __all__ = ["PolyCurve", "angle_between", "segment_to_segments_distance"]
 
 _EPS = 1e-12
 _CCW_ERR = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53  # Shewchuk's orient2d error bound
+# an edge length is the root of a sum of squares: below sqrt(tiny) the squares
+# have lost bits to underflow
+_MIN_EDGE = math.sqrt(np.finfo(float).tiny)
+# arclength parameters x lie in [0, 2L) (a parameter plus an arc of at most L),
+# where the float spacing is at most x * 2^-52 < L * 2^-51: an edge at least
+# L * 2^-51 long has ends of distinct arclength at any such offset
+_MIN_EDGE_FRACTION = 2.0 ** -51
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -117,6 +124,26 @@ def _orientation(p, q, r):
     return det
 
 
+def _check_edge_lengths(edges, lens, length: float) -> None:
+    """Refuse edges whose length float arithmetic does not measure, or that
+    an arclength parameter cannot tell apart from a point."""
+    if not (np.all(np.isfinite(lens)) and math.isfinite(length)):
+        raise ValueError("edge lengths overflow to inf: the coordinates are too large, "
+                         "rescale the curve")
+    zero = np.all(edges == 0.0, axis=1)
+    if np.any(zero):
+        raise ValueError(f"coincident consecutive vertices at index {int(np.argmax(zero))}")
+    if np.any(lens < _MIN_EDGE):
+        raise ValueError(f"edge {int(np.argmin(lens))} is too short to measure: its squared length "
+                         f"underflows below {_MIN_EDGE ** 2:.3g}; the coordinates are too small, "
+                         "rescale the curve")
+    short = lens < _MIN_EDGE_FRACTION * length
+    if np.any(short):
+        i = int(np.argmax(short))
+        raise ValueError(f"edge {i} has length {lens[i]:.3g}, below 2^-51 of the curve length "
+                         f"{length:.3g}, which arclength parameters cannot resolve")
+
+
 class PolyCurve:
     """Ordered vertex chain in R^n, open or closed, with cached arclength table.
 
@@ -140,10 +167,10 @@ class PolyCurve:
             edges = np.roll(v, -1, axis=0) - v
         else:
             edges = v[1:] - v[:-1]
-        lens = np.linalg.norm(edges, axis=1)
-        if np.any(lens <= 0.0):
-            bad = int(np.argmin(lens))
-            raise ValueError(f"coincident consecutive vertices at index {bad}")
+        with np.errstate(over="ignore"):  # _check_edge_lengths names the cause
+            lens = np.linalg.norm(edges, axis=1)
+            length = float(np.sum(lens))
+        _check_edge_lengths(edges, lens, length)
 
         self.vertices = v
         self.closed = bool(closed)
@@ -151,8 +178,13 @@ class PolyCurve:
         self._edge_lens = lens
         # arclength at each vertex; _knots appends the full length for closed
         self.cum_len = np.concatenate(([0.0], np.cumsum(lens)))[: v.shape[0]]
-        self.length = float(np.sum(lens))
+        self.length = length
         self._knots = np.concatenate((self.cum_len, [self.length]))
+
+    @cached_property
+    def _edge_tangents(self):
+        """Unit tangent (num_edges, n) of every edge, in the direction of travel."""
+        return self._edge_vecs / self._edge_lens[:, None]
 
     # -- basic attributes ------------------------------------------------
 

@@ -65,6 +65,16 @@ def _norms(res, mean_side) -> np.ndarray:
     return np.where(mean_side > 0.0, out, np.inf)
 
 
+def _smooth_norms(res, mean_side) -> np.ndarray:
+    """||residual||_2 / (mean side)^2 per row; inf at mean side 0.  Unlike
+    _norms it has no crease where two components tie.  The residual is
+    scaled before it is squared, so it cannot overflow where _norms does not."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = res / (mean_side * mean_side)[:, None]
+        out = np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
+    return np.where(mean_side > 0.0, out, np.inf)
+
+
 def _thetas(ratio, tol: float = 1e-9) -> np.ndarray:
     """arcsin(min(ratio, 1)) of ratios mean diagonal / (2 * mean side); nan
     where the ratio exceeds 1 + tol, which no square-like quad realizes."""

@@ -21,7 +21,7 @@ import numpy as np
 from .curve import PolyCurve, _check_positive, _cyclic_gaps, _winds_once
 from .pidist import verify_quad_arc_curvature
 from .quad import (_HEAD, _TAIL, _measure, _norms, _residual_jacobian, _residuals_of_chords,
-                   _sides_and_residuals)
+                   _sides_and_residuals, _smooth_norms)
 
 __all__ = [
     "SolverConfig",
@@ -140,7 +140,7 @@ def _eval_cells(curve: PolyCurve, params):
     idx, pts = curve._locate(params.reshape(-1))
     shape = params.shape + (curve.dimension,)
     chords, _, _, res, mean_side = _sides_and_residuals(pts.reshape(shape))
-    return chords, res, mean_side, (curve._edge_vecs[idx] / curve._edge_lens[idx, None]).reshape(shape)
+    return chords, res, mean_side, curve._edge_tangents[idx].reshape(shape)
 
 
 def _eval_batch(curve: PolyCurve, params) -> tuple[np.ndarray, np.ndarray]:
@@ -165,9 +165,10 @@ def _combinations4(m: int) -> np.ndarray:
     return combos
 
 
-def _grid_local_minima(curve: PolyCurve, m: int, cfg: SolverConfig):
-    """Grid-local minima of the normalized residual on an m-point equispaced
-    arclength grid, as (params (k, 4), norms (k,)) in lexicographic order.
+def _grid_local_minima(curve: PolyCurve, m: int, cfg: SolverConfig, score):
+    """Grid-local minima of score(residuals (k, 4), mean sides (k,)) -> (k,)
+    on an m-point equispaced arclength grid, as (params (k, 4), scores (k,))
+    in lexicographic order.
 
     Every sorted index 4-subset is scored, block by block, from one table of
     the squared chords between grid points; tuples with mean side under
@@ -184,42 +185,48 @@ def _grid_local_minima(curve: PolyCurve, m: int, cfg: SolverConfig):
     chord_sq = np.einsum("ijd,ijd->ij", diff, diff)  # |pts[j] - pts[i]|^2
     chord = np.sqrt(chord_sq)
     n = combos.shape[0]
-    norms, keep = np.empty(n), np.empty(n, dtype=bool)
+    scores, keep = np.empty(n), np.empty(n, dtype=bool)
     for lo in range(0, n, _BLOCK):
         tail, head = combos[lo:lo + _BLOCK, _TAIL], combos[lo:lo + _BLOCK, _HEAD]
         res, mean_side = _residuals_of_chords(chord_sq[tail, head], chord[tail[:, :4], head[:, :4]])
-        norms[lo:lo + _BLOCK] = np.where(mean_side >= cfg.min_side, _norms(res, mean_side), np.inf)
+        scores[lo:lo + _BLOCK] = np.where(mean_side >= cfg.min_side, score(res, mean_side), np.inf)
     # combos is lexicographic, so a tuple's rank is its row; moving entry a by
     # +1 adds C(m-2-c_a, 3-a) to the rank, by -1 subtracts C(m-1-c_a, 3-a)
     binom = np.array([[math.comb(x, 3 - a) for a in range(4)] for x in range(m)])
     for lo in range(0, n, _BLOCK):
         c, rank = combos[lo:lo + _BLOCK], np.arange(lo, min(lo + _BLOCK, n))
         bounds = np.column_stack([np.full(rank.size, -1), c, np.full(rank.size, m)])
-        score = norms[rank]
-        ok = np.isfinite(score)
+        own = scores[rank]
+        ok = np.isfinite(own)
         for a in range(4):
             up = rank + binom[np.maximum(m - 2 - c[:, a], 0), a]
             down = rank - binom[m - 1 - c[:, a], a]
-            ok &= score <= norms[np.where(c[:, a] + 1 < bounds[:, a + 2], up, rank)]
-            ok &= score <= norms[np.where(c[:, a] - 1 > bounds[:, a], down, rank)]
+            ok &= own <= scores[np.where(c[:, a] + 1 < bounds[:, a + 2], up, rank)]
+            ok &= own <= scores[np.where(c[:, a] - 1 > bounds[:, a], down, rank)]
         keep[lo:lo + _BLOCK] = ok
 
-    params, norms = grid[combos[keep]], norms[keep]
+    params, scores = grid[combos[keep]], scores[keep]
     keep = np.min(_cyclic_gaps(params, L), axis=1) >= cfg.gap_min
-    return params[keep], norms[keep]
+    return params[keep], scores[keep]
 
 
 def seed_grid(curve: PolyCurve, config: Optional[SolverConfig] = None) -> np.ndarray:
     """Cyclically ordered 4-tuples on a grid_m-point equispaced arclength
-    grid that are grid-local minima of the normalized residual.
+    grid that are grid-local minima of the smooth score ||residual||_2 /
+    (mean side)^2, with the min_side and gap_min rules of _grid_local_minima.
 
     Sorted index 4-subsets fix t1 to the first grid cell of each cyclic class,
-    so rotation duplicates never enter.  The grid-local minima, with their
-    min_side and gap_min rules, are those brute_force_oracle keeps before
-    its residual cutoff; seeding has no cutoff.
+    so rotation duplicates never enter.  The score that refinement reduces,
+    the largest residual component over the squared mean side, is a maximum
+    of smooth functions, and its grid-local minima pile up along the creases
+    where two components tie.  The smooth score has none: on the gate curves
+    of the tests at grid_m 24 it gives 1,330 seeds where the largest
+    component gives 3,263, and the same solution classes.  So these are not
+    the candidates of brute_force_oracle, which keeps the largest component;
+    seeding has no cutoff.
     """
     cfg = (config or SolverConfig()).resolved(curve)
-    return _grid_local_minima(curve, cfg.grid_m, cfg)[0]
+    return _grid_local_minima(curve, cfg.grid_m, cfg, _smooth_norms)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +263,8 @@ def _refine_batch(curve: PolyCurve, seeds: np.ndarray, cfg: SolverConfig) -> lis
     accepted by (_norms).  That is the actual-reduction half of MINPACK's
     ftol test (More 1978); its predicted-reduction half never holds on the
     seeds this stops, quads that shrink at a flat score.  On the gate curves
-    at grid_m 8, 24 and 48 no converging seed cuts its squared score by less
-    than 3.4e-5 in one step, 34 times _FTOL.
+    at grid_m 8, 24 and 48 no converging seed of seed_grid cuts its squared
+    score by less than 1.1e-3 in one step, about 1,000 times _FTOL.
     """
     K = seeds.shape[0]
     if K == 0:
@@ -484,10 +491,13 @@ def find_quads(curve: PolyCurve, config: Optional[SolverConfig] = None) -> Solut
 
 def brute_force_oracle(curve: PolyCurve, m: int = 24, tol: float = 0.3,
                        config: Optional[SolverConfig] = None) -> SolutionSet:
-    """Pure grid search: the grid-local minima that seed_grid refines (each
-    sorted grid tuple no larger than its 8 axis neighbours), taken on an
-    m-point grid and kept when their normalized residual is <= tol.
-    No refinement; used to cross-check find_quads.
+    """Pure grid search: the grid-local minima of the normalized residual
+    (largest residual component over the squared mean side; each sorted grid
+    tuple no larger than its 8 axis neighbours), taken on an m-point grid
+    and kept when that residual is <= tol.  No refinement; used to
+    cross-check find_quads.  seed_grid ranks the same grid tuples by the
+    2-norm of the residual instead, which is never smaller, so the oracle
+    keeps the largest component for its tol.
 
     A genuine solution sitting between grid points can carry a normalized
     residual up to ~(L/m)/side, so tol must stay loose at coarse m; the
@@ -499,7 +509,7 @@ def brute_force_oracle(curve: PolyCurve, m: int = 24, tol: float = 0.3,
         raise ValueError("oracle grid needs 8 <= m <= 48 (O(m^4) tuples)")
     cfg = (config or SolverConfig()).resolved(curve)
     L = curve.length
-    cands, norms = _grid_local_minima(curve, m, cfg)
+    cands, norms = _grid_local_minima(curve, m, cfg, _norms)
     hit = norms <= tol
     cands, norms = cands[hit], norms[hit]
 

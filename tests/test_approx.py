@@ -481,6 +481,18 @@ def test_sample_refuses_a_step_below_its_smallest_named_step(monkeypatch):
     assert smooth.sample(smallest).num_vertices <= 64 + len(smooth.pieces)
 
 
+def test_sample_drops_points_closer_than_the_arclength_resolves(monkeypatch):
+    # an edge 1.5 times PolyCurve's least length: its fillet leaves a
+    # segment under that limit, but over the absolute 1e-15
+    poly = PolyCurve([[0.0, 0.0], [1000.0, 0.0], [1000.0, 2.3e-12], [0.0, 1000.0]], closed=True)
+    rounded = fillet_smooth(poly, 1.0)
+    sample = rounded.sample(10.0)
+    assert np.min(sample._edge_lens) >= 2.0 ** -51 * sample.length
+    monkeypatch.setattr(approx, "_MIN_EDGE_FRACTION", 0.0)
+    with pytest.raises(ValueError, match="arclength parameters cannot resolve"):
+        rounded.sample(10.0)
+
+
 def test_sample_refuses_a_tiny_step_before_allocating():
     smooth = fillet_smooth(make_unit_square(), 0.05)
     tracemalloc.start()

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,27 @@ def test_analyze_malformed_file(tmp_path, capsys):
     bad.write_text("{\"closed\": true}")
     assert run(["analyze", str(bad)]) == 1
     assert "missing required key" in capsys.readouterr().err
+
+
+_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("vertices, cause", [
+    ([[1e200 * x for x in v] for v in _SQUARE], "the coordinates are too large"),
+    ([[1e-200 * x for x in v] for v in _SQUARE], "the coordinates are too small"),
+    ([[0.0, 0.0], [1e-9, 0.0], [1e9, 1e9], [0.0, 1.0]], "arclength parameters cannot resolve"),
+])
+@pytest.mark.parametrize("command", [["find", "{}"], ["analyze", "{}"],
+                                     ["converge", "{}", "--n-list", "8"], ["frechet", "{}", "{}"]])
+def test_hostile_scale_fails_with_a_message_that_names_the_cause(tmp_path, capsys, vertices,
+                                                                  cause, command):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"dimension": 2, "closed": True, "vertices": vertices}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run([arg.format(path) for arg in command]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and cause in err
 
 
 def test_find_jordan64_regression(tmp_path):

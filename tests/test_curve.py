@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import random_star_polygon
+from sqpeg import curve as curve_mod
 from sqpeg.curve import PolyCurve, _angles, angle_between, segment_to_segments_distance
 from sqpeg.generators import (
     make_circle,
@@ -54,6 +55,35 @@ def test_rejects_too_few_vertices():
 def test_rejects_coincident_consecutive_vertices():
     with pytest.raises(ValueError, match="coincident"):
         PolyCurve([[0, 0], [0, 0], [1, 1]], closed=False)
+
+
+_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("vertices, cause", [
+    (_SQUARE * 1e200, "edge lengths overflow to inf: the coordinates are too large"),
+    (_SQUARE * 1e-200, "edge 0 is too short to measure: its squared length underflows"),
+    (_SQUARE * 1e-160, "edge 0 is too short to measure: its squared length underflows"),
+    ([[0.0, 0.0], [1e-9, 0.0], [1e9, 1e9], [0.0, 1.0]],
+     "edge 0 has length 1e-09, below 2^-51 of the curve length 2.83e+09"),
+    ([[0.0, 0.0], [2.0 ** -48, 0.0], [4.0, 0.0], [0.0, 3.0]], "edge 0 has length"),
+])
+def test_rejects_edge_lengths_that_floats_cannot_measure_or_resolve(vertices, cause):
+    with pytest.raises(ValueError) as err:
+        PolyCurve(vertices, closed=True)
+    assert str(err.value).startswith(cause)
+
+
+def test_an_edge_at_the_resolution_limit_has_ends_of_distinct_arclength():
+    # L = 12: 2^-47 is above 12 * 2^-51, so the edge is accepted, and an
+    # edge of that length keeps its ends apart at any offset in [0, 2L)
+    tri = PolyCurve([[0.0, 0.0], [2.0 ** -47, 0.0], [4.0, 0.0], [0.0, 3.0]], closed=True)
+    assert np.all(np.diff(tri._knots) > 0.0)
+    rng = np.random.default_rng(97)
+    for L in rng.uniform(1.0, 2.0, 200) * 2.0 ** rng.integers(-900, 900, 200):
+        e = curve_mod._MIN_EDGE_FRACTION * L
+        for x in (np.nextafter(2.0 * L, 0.0), L, rng.uniform(0.0, 2.0 * L)):
+            assert x + e > x
 
 
 def test_rejects_nonfinite():
