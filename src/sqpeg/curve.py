@@ -11,7 +11,9 @@ import numpy as np
 
 __all__ = ["PolyCurve", "angle_between", "segment_to_segments_distance"]
 
-_EPS = 1e-12
+# sin^2 of the angle between two segments below which their clamped free
+# optimum is not trusted alone: its arclength error grows as 1/sin^2
+_NEAR_PARALLEL = 2.0 ** -10
 _CCW_ERR = (3.0 + 16.0 * 2.0 ** -53) * 2.0 ** -53  # Shewchuk's orient2d error bound
 # an edge length is the root of a sum of squares: below sqrt(tiny) the squares
 # have lost bits to underflow
@@ -66,6 +68,10 @@ def _winds_once(gaps, L) -> np.ndarray:
     return np.all(gaps != 0.0, axis=-1) & (np.abs(total - L) <= 1e-9 * np.maximum(np.abs(total), L))
 
 
+def _clamp(x, hi):
+    return np.minimum(np.maximum(x, 0.0), hi)
+
+
 def segment_to_segments_distance(p0, p1, q0, q1):
     """Minimum distances between segments paired row by row.
 
@@ -75,30 +81,53 @@ def segment_to_segments_distance(p0, p1, q0, q1):
     Returns (dist, s, t): distances and the clamped parameters of the
     closest points, p0 + s*(p1-p0) and q0 + t*(q1-q0).  Segments must have
     positive length.
+
+    The squared distance is a convex quadratic on the parameter square.  Its
+    free critical point, clamped to the square (Ericson, Real-Time Collision
+    Detection, 5.1.9), is the minimum unless the segments are near-parallel,
+    where that point is ill-conditioned; there the four edge minima (each
+    endpoint's nearest point on the other segment) are candidates too, and
+    the least wins.  Everything is worked out in unit directions and
+    arclengths along them, so the test for near-parallel is scale-free and
+    the distances scale exactly with the coordinates under powers of two.
     """
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     q0 = np.atleast_2d(np.asarray(q0, dtype=float))
     q1 = np.atleast_2d(np.asarray(q1, dtype=float))
 
-    d1 = p1 - p0
-    d2 = q1 - q0
-    r = p0 - q0
-    a, b, c, e, f = (np.einsum("...j,...j->...", x, y)
-                     for x, y in ((d1, d1), (d2, d1), (r, d1), (d2, d2), (d2, r)))
+    # coordinate-major: x[j] is coordinate j of every row
+    d1, d2, r = (p1 - p0).T, (q1 - q0).T, (p0 - q0).T
 
-    denom = a * e - b * b
-    s = np.where(denom > _EPS, (b * f - c * e) / np.where(denom > _EPS, denom, 1.0), 0.0)
-    s = np.clip(s, 0.0, 1.0)
-    t = (b * s + f) / e
-    t_clamped = np.clip(t, 0.0, 1.0)
-    s = np.where(t != t_clamped, np.clip((t_clamped * b - c) / a, 0.0, 1.0), s)
-    t = t_clamped
+    def dot(x, y):
+        return sum(x[j] * y[j] for j in range(len(r)))
 
-    cp = p0 + s[:, None] * d1
-    cq = q0 + t[:, None] * d2
-    dist = np.linalg.norm(cp - cq, axis=1)
-    return dist, s, t
+    l1 = np.sqrt(dot(d1, d1))
+    l2 = np.sqrt(dot(d2, d2))
+    u1 = d1 / l1
+    u2 = d2 / l2
+    b, c, f = dot(u2, u1), dot(r, u1), dot(r, u2)
+
+    def gap_sq(sigma, tau):  # |r + sigma*u1 - tau*u2|^2
+        return sum((r[j] + sigma * u1[j] - tau * u2[j]) ** 2 for j in range(len(r)))
+
+    # arclengths: sigma along p, tau along q
+    den = 1.0 - b * b
+    sigma = _clamp(np.divide(b * f - c, den, out=np.zeros_like(den), where=den > 0.0), l1)
+    tau_free = f + b * sigma
+    tau = _clamp(tau_free, l2)
+    sigma = np.where(tau != tau_free, _clamp(tau * b - c, l1), sigma)
+    sq = gap_sq(sigma, tau)
+    near = den < _NEAR_PARALLEL
+    if near.any():
+        for s_end, t_end in ((0.0, _clamp(f, l2)), (l1, _clamp(f + l1 * b, l2)),
+                             (_clamp(-c, l1), 0.0), (_clamp(l2 * b - c, l1), l2)):
+            sq_end = gap_sq(s_end, t_end)
+            less = near & (sq_end < sq)
+            sq = np.where(less, sq_end, sq)
+            sigma = np.where(less, s_end, sigma)
+            tau = np.where(less, t_end, tau)
+    return np.sqrt(sq), sigma / l1, tau / l2
 
 
 def _ragged(starts, counts, block: int = 1 << 16):

@@ -236,12 +236,15 @@ class _RunScanner:
         corner the other moves the same way by the same amount, so the window
         slides and its arclength is unchanged; the room is then the other
         endpoint's distance from its own corner.  With both on corners each
-        moves inward and the room is the run's margin cap - (b_lo - a_hi).
+        moves inward and the room is the margin cap - (b - a).  An endpoint
+        within four ulps of its corner counts as on it, since a slide by half
+        of less room could round back onto the corner.
         """
         a_lo, a_hi, _, _ = self.a_edge(i)
         b_lo, b_hi, _, _ = self.b_edge(k)
-        on_a, on_b = a_raw >= a_hi, b_raw <= b_lo
-        room = np.where(on_a & on_b, cap - (b_lo - a_hi), np.where(on_a, b_raw - b_lo, a_hi - a_raw))
+        near = 4.0 * np.spacing(b_lo)  # b_lo >= a_hi >= 0 sets the larger ulp
+        on_a, on_b = a_raw >= a_hi - near, b_raw <= b_lo + near
+        room = np.where(on_a & on_b, cap - (b_raw - a_raw), np.where(on_a, b_raw - b_lo, a_hi - a_raw))
         half_room = 0.5 * np.maximum(room, 0.0)
         down = np.where(on_a, np.minimum((a_hi - a_lo) * 1e-9, half_room), 0.0)
         up = np.where(on_b, np.minimum((b_hi - b_lo) * 1e-9, half_room), 0.0)

@@ -362,6 +362,72 @@ def test_detect_cusps_rejects_non_finite_tol(tol):
 # embeddedness
 # ---------------------------------------------------------------------------
 
+# ---------------------------------------------------------------------------
+# segment_to_segments_distance
+# ---------------------------------------------------------------------------
+
+def _segment_rows(rng, k, dim):
+    """k random segment pairs; a third of them are within 1e-9 to 1e-2 rad
+    of parallel, where the free optimum is ill-conditioned."""
+    p0, p1, q0 = (rng.normal(size=(k, dim)) for _ in range(3))
+    q1 = q0 + rng.normal(size=(k, dim))
+    m = k // 3
+    tilt = rng.normal(size=(m, dim)) * 10.0 ** rng.uniform(-9, -2, (m, 1))
+    q1[:m] = q0[:m] + (p1[:m] - p0[:m]) * rng.choice([-2.0, -0.5, 0.7, 1.5], (m, 1)) + tilt
+    return p0, p1, q0, q1
+
+
+def _exact_point_to_segment(x, a, b):
+    """Distance from x to segment ab in rationals, rounded once."""
+    x, a, b = ([Fraction(float(c)) for c in v] for v in (x, a, b))
+    d = [bj - aj for aj, bj in zip(a, b)]
+    t = sum((xj - aj) * dj for xj, aj, dj in zip(x, a, d)) / sum(dj * dj for dj in d)
+    t = min(max(t, Fraction(0)), Fraction(1))
+    return math.sqrt(sum((xj - aj - t * dj) ** 2 for xj, aj, dj in zip(x, a, d)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_segment_distance_scales_exactly_with_powers_of_two(dim):
+    p0, p1, q0, q1 = _segment_rows(np.random.default_rng(dim), 300, dim)
+    dist, s, t = segment_to_segments_distance(p0, p1, q0, q1)
+    for k in range(-60, 61):
+        f = 2.0 ** k
+        dk, sk, tk = segment_to_segments_distance(p0 * f, p1 * f, q0 * f, q1 * f)
+        assert np.array_equal(dk, dist * f) and np.array_equal(sk, s) and np.array_equal(tk, t), k
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_segment_distance_never_above_an_endpoint_distance(dim):
+    p0, p1, q0, q1 = _segment_rows(np.random.default_rng(10 + dim), 300, dim)
+    dist, s, t = segment_to_segments_distance(p0, p1, q0, q1)
+    gap = (p0 + s[:, None] * (p1 - p0)) - (q0 + t[:, None] * (q1 - q0))
+    assert np.allclose(np.linalg.norm(gap, axis=1), dist, rtol=1e-15, atol=1e-15)
+    for j in range(len(dist)):
+        ends = min(_exact_point_to_segment(p0[j], q0[j], q1[j]),
+                   _exact_point_to_segment(p1[j], q0[j], q1[j]),
+                   _exact_point_to_segment(q0[j], p0[j], p1[j]),
+                   _exact_point_to_segment(q1[j], p0[j], p1[j]))
+        assert dist[j] <= ends + 4e-16 * (1.0 + ends), j
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e100, 1e120, 1e150])
+def test_segment_distance_stays_finite_at_large_coordinates(scale):
+    # a RuntimeWarning is an error in this suite
+    p0, p1, q0, q1 = _segment_rows(np.random.default_rng(5), 60, 3)
+    dist, _, _ = segment_to_segments_distance(p0 * scale, p1 * scale, q0 * scale, q1 * scale)
+    assert np.all(np.isfinite(dist))
+    curve = PolyCurve(make_unit_square().vertices * scale, closed=True)
+    assert curve.is_embedded()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-5, 1e-6])
+def test_is_embedded_catches_a_crossing_in_space_at_every_scale(scale):
+    # edges 0 and 2 cross at (1, 0, 0); at 1e-5 and below, an absolute
+    # parallel test once took them for parallel and measured from p0 alone
+    verts = np.array([[0, 0, 0], [2, 0, 0], [1, -1, 0], [1, 1, 0], [0, 1, 1.0]])
+    assert not PolyCurve(verts * scale, closed=True).is_embedded()
+
+
 def test_is_embedded_square():
     assert make_unit_square().is_embedded(0.0)
 

@@ -295,6 +295,16 @@ def test_cap_and_step_must_be_finite_and_positive(value):
             call()
 
 
+@pytest.mark.parametrize("scale", [1e80, 1e150])
+def test_pi_distance_at_large_coordinates(scale):
+    # a RuntimeWarning is an error in this suite
+    square = make_unit_square()
+    big = PolyCurve(square.vertices * scale, closed=True)
+    for mode in ("literal", "capped"):
+        value = pi_distance(big, mode).value
+        assert math.isclose(value / scale, pi_distance(square, mode).value, rel_tol=1e-12)
+
+
 def test_pi_distance_deterministic():
     c = make_ellipse(2, 1, 128)
     r1 = pi_distance(c, mode="capped")
