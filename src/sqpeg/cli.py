@@ -12,6 +12,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -79,15 +80,17 @@ def _emit(text: str, out: str | None):
 
 
 def _csv_text(header: list, rows: list) -> str:
+    """CSV text of tuple rows, one %-format per row: "%.17g" in the float
+    columns of the first row (the bytes of format(x, ".17g")), "%s" in the
+    others.  A non-finite float is written null, as in the JSON."""
     lines = [",".join(header)]
+    if rows:
+        fmt = ",".join("%.17g" if isinstance(v, (float, np.floating)) else "%s" for v in rows[0])
     for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (float, np.floating)):
-                cells.append(_fmt_float(float(v)))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+        line = fmt % row
+        if not all(map(math.isfinite, row)):
+            line = ",".join("null" if c in ("nan", "inf", "-inf") else c for c in line.split(","))
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
@@ -273,7 +276,10 @@ def _cmd_frechet(args) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built once per process; each parse_args call returns a
+    fresh Namespace, and the commands look the library up at call time."""
     parser = _Parser(prog="sqpeg", description=__doc__)
     parser.add_argument("--seed", type=int, help="random seed (random_jordan)")
     parser.add_argument("--tol", type=float,
@@ -325,9 +331,8 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         sys.stderr.write(f"sqpeg: error: {exc}\n")

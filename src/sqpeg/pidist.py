@@ -13,9 +13,13 @@ under one linear arclength limit has a closed form, so nothing is sampled.
 The scan over all runs is pruned without changing its result: a run's chord
 is at least the distance of its two edges, which is at least
 |mid_a - mid_b| - (len_a + len_b) / 2, so a run whose bound exceeds a chord
-already found can neither win nor tie and is never evaluated.  `step` is
-kept for the wrap margin of closed curves (subarcs up to L - step long) and
-is reported as the result's `resolution`.
+already found can neither win nor tie and is never evaluated.  The bound is
+checked on three levels, each a lower bound of the next: balls around
+chunks of a-edges against balls around chunks of b-edges, then each a-edge
+against a b-chunk ball, then each run.  Ties go to the least (chord,
+normalized a, normalized b, i, k), whatever the order of the scan.  `step`
+is kept for the wrap margin of closed curves (subarcs up to L - step long)
+and is reported as the result's `resolution`.
 """
 
 from __future__ import annotations
@@ -44,7 +48,8 @@ _PI_SLACK = 5e-13
 # message naming the smallest allowed step, so that `analyze --step` keeps
 # one documented range of accepted values
 _MAX_EDGE_SAMPLES = 2048
-# consecutive b-edges bounded together by one ball in the pruned scan
+# consecutive a-edges, and consecutive b-edges, bounded together by one ball
+# in the pruned scan
 _CHUNK = 32
 
 
@@ -242,8 +247,8 @@ class _RunScanner:
         """
         a_lo, a_hi, _, _ = self.a_edge(i)
         b_lo, b_hi, _, _ = self.b_edge(k)
-        near = 4.0 * np.spacing(b_lo)  # b_lo >= a_hi >= 0 sets the larger ulp
-        on_a, on_b = a_raw >= a_hi - near, b_raw <= b_lo + near
+        tol = 4.0 * np.spacing(b_lo)  # b_lo >= a_hi >= 0 sets the larger ulp
+        on_a, on_b = a_raw >= a_hi - tol, b_raw <= b_lo + tol
         room = np.where(on_a & on_b, cap - (b_raw - a_raw), np.where(on_a, b_raw - b_lo, a_hi - a_raw))
         half_room = 0.5 * np.maximum(room, 0.0)
         down = np.where(on_a, np.minimum((a_hi - a_lo) * 1e-9, half_room), 0.0)
@@ -286,12 +291,26 @@ def scan_windows(curve: PolyCurve, cap: Optional[float] = None):
     return scanner.finalize(a_raw[ok], b_raw[ok], i[ok], k[ok], cap)
 
 
-def _enumerate_best(curve: PolyCurve, effective_cap: float):
-    """Global minimum-chord window over all runs (not only minimal ones);
-    ties go to the smaller normalized a, then b, then the earlier run.
+def _balls(mid, half):
+    """Center and radius of a ball around each chunk of _CHUNK consecutive
+    segments, from their midpoints and half-lengths."""
+    heads = np.arange(0, len(mid), _CHUNK)
+    center = 0.5 * (np.maximum.reduceat(mid, heads) + np.minimum.reduceat(mid, heads))
+    reach = np.linalg.norm(mid - center[np.arange(len(mid)) // _CHUNK], axis=1) + half
+    return center, np.maximum.reduceat(reach, heads)
 
-    The module's pruning bound is checked against balls around chunks of
-    b-edges, then per b-edge; the bar is the least chord found so far.
+
+def _enumerate_best(curve: PolyCurve, effective_cap: float):
+    """Global minimum-chord window over all runs (not only minimal ones).
+
+    The module's pruning bound is checked on three levels against the bar,
+    the least chord found so far: balls around chunks of _CHUNK live a-edges
+    against balls around chunks of b-edges; then each a-edge of a surviving
+    chunk pair against its b-chunk ball; then each run.  A ball holds every
+    edge of its chunk, so a level's bound is at most the bound of every run
+    below it, and a run that could win or tie is never skipped.  The winner
+    is the least (chord, normalized a, normalized b, i, k), so it does not
+    depend on the order in which the blocks are visited.
     """
     scanner = _RunScanner(curve)
     i = np.arange(scanner.n)
@@ -301,39 +320,57 @@ def _enumerate_best(curve: PolyCurve, effective_cap: float):
     if not np.any(live):
         return None
     i, k_lo, k_hi = i[live], k_lo[live], k_hi[live]
+
+    def first(runs):
+        """The column of the least (chord, normalized a, normalized b, i, k)."""
+        tie = runs[:, runs[0] == np.min(runs[0], initial=np.inf)]
+        a_n, b_n = np.mod(tie[1:3], scanner.L) if scanner.closed else tie[1:3]
+        return tie[:, np.lexsort((tie[4], tie[3], b_n, a_n))[:1]]
+
+    winners = []  # columns (chord, a_raw, b_raw, i, k), one per block
+    for k in (k_lo, k_hi):  # each corner's first and last run set the first bar
+        runs = np.stack((*scanner.chord_min(i, k, effective_cap), i, k))
+        winners.append(first(runs))
     slack = 1e-12 * scanner.L  # covers the rounding of the bound
-    limit = min(np.min(scanner.chord_min(i, k, effective_cap)[0]) for k in (k_lo, k_hi)) + slack
+    limit = min(w[0, 0] for w in winners) + slack
+    # the scan below covers the runs between
+    inner = k_hi - k_lo >= 2
+    i, k_lo, k_hi = i[inner], k_lo[inner] + 1, k_hi[inner] - 1
 
     a_lo, a_hi, va0, va1 = scanner.a_edge(i)
     a_mid, a_half = 0.5 * (va0 + va1), 0.5 * (a_hi - a_lo)
     b_lo, b_hi, vb0, vb1 = scanner.b_edge(slice(None))
     b_mid, b_half = 0.5 * (vb0 + vb1), 0.5 * (b_hi - b_lo)
-    heads = np.arange(0, len(b_lo), _CHUNK)
-    center = 0.5 * (np.maximum.reduceat(b_mid, heads) + np.minimum.reduceat(b_mid, heads))
-    radius = np.maximum.reduceat(
-        np.linalg.norm(b_mid - center[np.arange(len(b_lo)) // _CHUNK], axis=1) + b_half, heads)
+    a_center, a_radius = _balls(a_mid, a_half)
+    b_center, b_radius = _balls(b_mid, b_half)
 
-    def near(r, mid, reach):
-        return np.linalg.norm(a_mid[r] - mid, axis=1) - a_half[r] - reach <= limit
+    def near(mid, half, r, other_mid, other_half, c):
+        """Whether the balls (mid, half)[r] and (other_mid, other_half)[c] are
+        within the bar; np.take gathers rows faster than fancy indexing."""
+        gap = np.take(mid, r, axis=0) - np.take(other_mid, c, axis=0)
+        return np.sqrt(_rowdot(gap, gap)) - half[r] - other_half[c] <= limit
 
-    def first(runs):
-        """Column of the least (chord, normalized a, b), the earliest of equals."""
-        a_n, b_n = np.mod(runs[1:3], scanner.L) if scanner.closed else runs[1:3]
-        return np.lexsort((b_n, a_n, runs[0]))[:1]
-
-    winners = []  # columns (chord, a_raw, b_raw, i, k), one per block
-    for r, c in _ragged(k_lo // _CHUNK, k_hi // _CHUNK - k_lo // _CHUNK + 1):
-        keep = near(r, center[c], radius[c])
-        r, c = r[keep], c[keep]
-        start = np.maximum(c * _CHUNK, k_lo[r])
-        for q, k in _ragged(start, np.minimum(c * _CHUNK + _CHUNK - 1, k_hi[r]) - start + 1):
-            keep = near(r[q], b_mid[k], b_half[k])
-            ik = (i[r[q][keep]], k[keep])
-            runs = np.stack((*scanner.chord_min(*ik, effective_cap), *ik))
-            winners.append(runs[:, first(runs)])
-            limit = min(limit, np.min(runs[0], initial=np.inf) + slack)
-    runs = np.concatenate(winners, axis=1)
-    _, a_raw, b_raw, wi, wk = runs[:, first(runs)]
+    # chunk g of the live a-edges meets the b-chunks its runs reach
+    heads = np.arange(0, len(i), _CHUNK)
+    c_lo = np.minimum.reduceat(k_lo, heads) // _CHUNK
+    c_hi = np.maximum.reduceat(k_hi, heads) // _CHUNK
+    for g, c in _ragged(c_lo, c_hi - c_lo + 1):
+        keep = near(a_center, a_radius, g, b_center, b_radius, c)
+        g, c = g[keep], c[keep]
+        rows = np.minimum(_CHUNK, len(i) - g * _CHUNK)
+        for q, r in _ragged(g * _CHUNK, rows):
+            c_r = c[q]
+            keep = (k_lo[r] // _CHUNK <= c_r) & (c_r <= k_hi[r] // _CHUNK)
+            keep &= near(a_mid, a_half, r, b_center, b_radius, c_r)
+            r, c_r = r[keep], c_r[keep]
+            start = np.maximum(c_r * _CHUNK, k_lo[r])
+            for q, k in _ragged(start, np.minimum(c_r * _CHUNK + _CHUNK - 1, k_hi[r]) - start + 1):
+                keep = near(a_mid, a_half, r[q], b_mid, b_half, k)
+                ik = (i[r[q][keep]], k[keep])
+                runs = np.stack((*scanner.chord_min(*ik, effective_cap), *ik))
+                winners.append(first(runs))
+                limit = min(limit, np.min(runs[0], initial=np.inf) + slack)
+    _, a_raw, b_raw, wi, wk = first(np.concatenate(winners, axis=1))
     return scanner.finalize(a_raw, b_raw, wi.astype(int), wk.astype(int), effective_cap)[0]
 
 

@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,3 +376,43 @@ def test_unset_options_take_the_library_defaults(tmp_path, circle_file, command,
 
     bare = outputs("bare", spelled=False)
     assert bare and bare == outputs("spelled", spelled=True)
+
+
+def _first_call(argv):
+    """(exit code, stdout, stderr) of `main(argv)` as the first call of a
+    fresh interpreter."""
+    import subprocess
+    import sys
+
+    import sqpeg
+
+    code = f"import sys\nfrom sqpeg.cli import main\nsys.exit(main({argv!r}))"
+    src = str(Path(sqpeg.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_each_call_reads_only_its_own_options(tmp_path, capsys):
+    # the parser is built once per process; an option set in one call must
+    # not leak into the next, and a usage error must leave nothing behind
+    square = tmp_path / "square.json"
+    square.write_text(json.dumps({"dimension": 2, "closed": True,
+                                  "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}))
+    path = str(square)
+    sequence = [
+        ["analyze", path, "--cap", "1.5"],
+        ["analyze", path],
+        ["--seed", "3", "generate", "random_jordan", "--samples", "16"],
+        ["generate", "random_jordan", "--samples", "16"],
+        ["find", path, "--grid-m", "8"],
+        ["find", path],
+        ["--tol", "1e-3", "analyze"],
+        ["analyze", path, "--step", "0.01"],
+    ]
+    codes = []
+    for argv in sequence:
+        codes.append(main(argv))
+        captured = capsys.readouterr()
+        assert (codes[-1], captured.out, captured.err) == _first_call(argv), argv
+    assert codes == [0, 0, 0, 0, 0, 0, 1, 0]

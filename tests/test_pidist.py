@@ -10,8 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import random_rotation, random_star_polygon
+from sqpeg import pidist
 from sqpeg.approx import inscribe_polygon
-from sqpeg.curve import PolyCurve
+from sqpeg.curve import PolyCurve, _ragged
 from sqpeg.generators import (
     make_circle,
     make_ellipse,
@@ -19,6 +20,7 @@ from sqpeg.generators import (
     make_random_jordan,
     make_regular_polygon,
     make_star_polygon,
+    make_trefoil,
     make_unit_square,
 )
 from sqpeg.pidist import (
@@ -415,6 +417,115 @@ def test_pruned_scan_same_witness_on_the_measure_curves():
         L = curve.length
         for cap in (L / 2, L - L / 11520):
             assert _enumerate_best(curve, cap) == reference_enumerate_best(curve, cap), name
+
+
+# ---------------------------------------------------------------------------
+# the three-level pruned scan against the row-level scan it replaced
+# ---------------------------------------------------------------------------
+
+_REF_CHUNK = 32
+
+
+def _ref_enumerate_best(curve, effective_cap):
+    """The row-level scan: each live a-edge against balls around chunks of
+    _REF_CHUNK b-edges, then per run; ties go to the earliest (i, k)."""
+    scanner = _RunScanner(curve)
+    i = np.arange(scanner.n)
+    k_lo = scanner.k_first(i)
+    k_hi = scanner.k_last_under_cap(i, effective_cap)
+    live = (k_lo >= 0) & (k_hi >= k_lo)
+    if not np.any(live):
+        return None
+    i, k_lo, k_hi = i[live], k_lo[live], k_hi[live]
+    slack = 1e-12 * scanner.L
+    limit = min(np.min(scanner.chord_min(i, k, effective_cap)[0]) for k in (k_lo, k_hi)) + slack
+
+    a_lo, a_hi, va0, va1 = scanner.a_edge(i)
+    a_mid, a_half = 0.5 * (va0 + va1), 0.5 * (a_hi - a_lo)
+    b_lo, b_hi, vb0, vb1 = scanner.b_edge(slice(None))
+    b_mid, b_half = 0.5 * (vb0 + vb1), 0.5 * (b_hi - b_lo)
+    heads = np.arange(0, len(b_lo), _REF_CHUNK)
+    center = 0.5 * (np.maximum.reduceat(b_mid, heads) + np.minimum.reduceat(b_mid, heads))
+    radius = np.maximum.reduceat(
+        np.linalg.norm(b_mid - center[np.arange(len(b_lo)) // _REF_CHUNK], axis=1) + b_half, heads)
+
+    def near(r, mid, reach):
+        return np.linalg.norm(a_mid[r] - mid, axis=1) - a_half[r] - reach <= limit
+
+    def first(runs):
+        a_n, b_n = np.mod(runs[1:3], scanner.L) if scanner.closed else runs[1:3]
+        return np.lexsort((b_n, a_n, runs[0]))[:1]
+
+    winners = []
+    chunk_lo, chunk_hi = k_lo // _REF_CHUNK, k_hi // _REF_CHUNK
+    for r, c in _ragged(chunk_lo, chunk_hi - chunk_lo + 1):
+        keep = near(r, center[c], radius[c])
+        r, c = r[keep], c[keep]
+        start = np.maximum(c * _REF_CHUNK, k_lo[r])
+        for q, k in _ragged(start, np.minimum(c * _REF_CHUNK + _REF_CHUNK - 1, k_hi[r]) - start + 1):
+            keep = near(r[q], b_mid[k], b_half[k])
+            ik = (i[r[q][keep]], k[keep])
+            runs = np.stack((*scanner.chord_min(*ik, effective_cap), *ik))
+            winners.append(runs[:, first(runs)])
+            limit = min(limit, np.min(runs[0], initial=np.inf) + slack)
+    runs = np.concatenate(winners, axis=1)
+    _, a_raw, b_raw, wi, wk = runs[:, first(runs)]
+    return scanner.finalize(a_raw, b_raw, wi.astype(int), wk.astype(int), effective_cap)[0]
+
+
+def _three_level_curves():
+    """37 closed curves (the corpus shapes, stars, regular polygons, whose
+    runs tie in chord, seeded random Jordan curves, and self-crossing and
+    spatial polygons) and 13 open ones."""
+    rng = np.random.default_rng(41)
+    curves = {
+        "square": make_unit_square(),
+        "circle360": make_circle(1.0, 360),
+        "ellipse512": make_ellipse(2.0, 1.0, 512),
+        "trefoil512": make_trefoil(512),
+        "jordan11": make_random_jordan(256, seed=11, amplitude=1.0, harmonics=6),
+        "triangle345": PolyCurve([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]], closed=True),
+        "jordan42_64": make_random_jordan(64, seed=42),
+    }
+    curves.update({f"star{p}_{r}": make_star_polygon(p, 1.0, r)
+                   for p, r in ((5, 0.5), (7, 0.5), (12, 0.8), (9, 0.2), (64, 0.1))})
+    curves.update({f"{n}-gon": make_regular_polygon(n) for n in (3, 5, 6, 7, 8, 12, 60)})
+    curves.update({f"jordan{n}_{seed}": make_random_jordan(n, seed=seed)
+                   for seed, n in zip(range(100, 110),
+                                      (16, 24, 32, 48, 64, 100, 128, 256, 512, 1024))})
+    for j in range(4):
+        curves[f"crossing_{j}"] = PolyCurve(rng.normal(size=(int(rng.integers(6, 40)), 2)), True)
+        curves[f"space_{j}"] = PolyCurve(rng.normal(size=(int(rng.integers(6, 40)), 3)), True)
+    for j in range(4):
+        curves[f"chain2d_{j}"] = PolyCurve(rng.normal(size=(int(rng.integers(6, 40)), 2)), False)
+        curves[f"chain3d_{j}"] = PolyCurve(rng.normal(size=(int(rng.integers(6, 40)), 3)), False)
+    for n in (64, 200, 512):
+        curves[f"arc{n}"] = PolyCurve(make_random_jordan(1024, seed=n).vertices[:n], closed=False)
+    curves["trefoil_arc"] = PolyCurve(make_trefoil(512).vertices[:300], closed=False)
+    curves["spiral"] = PolyCurve([[t * math.cos(t), t * math.sin(t)]
+                                  for t in np.linspace(1.0, 20.0, 400)], closed=False)
+    return curves
+
+
+_THREE_LEVEL = _three_level_curves()
+
+
+@pytest.mark.parametrize("chunk", [32, 3, 7])
+@pytest.mark.parametrize("name", sorted(_THREE_LEVEL))
+def test_three_level_scan_matches_the_row_level_scan(name, chunk, monkeypatch):
+    # at chunks of 3 and 7 the a-chunks, b-chunks and blocks all cross, so
+    # the blocks come in another order and only the tie key keeps the witness
+    curve = _THREE_LEVEL[name]
+    L = curve.length
+    calls = [("literal", None, None), ("literal", None, L / 2048)]
+    calls += [("capped", cap, None) for cap in (L / 2, 0.75 * L, L - L / 720, L / 5)]
+    monkeypatch.setattr(pidist, "_CHUNK", chunk)
+    for mode, cap, step in calls:
+        ours = pi_distance(curve, mode, cap=cap, step=step).to_json_dict()
+        with monkeypatch.context() as m:
+            m.setattr(pidist, "_enumerate_best", _ref_enumerate_best)
+            ref = pi_distance(curve, mode, cap=cap, step=step).to_json_dict()
+        assert ours == ref, (mode, cap, step)
 
 
 _DENSE = {
