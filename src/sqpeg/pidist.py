@@ -219,12 +219,12 @@ class _RunScanner:
         """(a_lo, a_hi, v0, v1) of the edge entering corner i.  a may equal
         a_lo (that vertex atom is then excluded, which is outside the run
         anyway) but must stay < a_hi."""
-        return tuple(x[i] for x in self._a)
+        return tuple(x.take(i, axis=0) for x in self._a)
 
     def b_edge(self, k):
         """(b_lo, b_hi, v0, v1) of the edge leaving corner k; b must stay
         > b_lo.  k may also be a slice."""
-        return tuple(x[k] for x in self._b)
+        return tuple(x[k] if isinstance(k, slice) else x.take(k, axis=0) for x in self._b)
 
     def chord_min(self, i, k, cap: float):
         """(chord, a_raw, b_raw) of the runs (i, k) under the cap, chord inf

@@ -986,3 +986,47 @@ def test_convergence_errors_same_when_pairs_split_into_blocks(monkeypatch):
     assert convergence_report(target, approximant, dyadic_depth=5) == whole
     assert (whole.length_err, whole.curvature_err) == \
         convergence_errors_reference(target, approximant, 5)
+
+
+def _converge_approximant(target, n):
+    """The approximant `sqpeg converge --fillet-radius 0.05` measures for N = n."""
+    smooth = fillet_smooth(inscribe_polygon(target, n), 0.05)
+    return smooth.sample(smooth.length() / max(4 * n, 64))
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_convergence_errors_match_scalar_loop_on_converge_approximants(n):
+    target = make_ellipse(2, 1, 512)
+    approximant = _converge_approximant(target, n)
+    rep = convergence_report(target, approximant, dyadic_depth=8)
+    assert (rep.length_err, rep.curvature_err) == \
+        convergence_errors_reference(target, approximant, 8)
+
+
+@pytest.mark.parametrize("name", ["ellipse-filleted", "open-3d"])
+def test_convergence_errors_same_with_one_row_per_block(monkeypatch, name):
+    target, approximant = _convergence_cases()[name]
+    whole = convergence_report(target, approximant, dyadic_depth=5)
+    # a block of 10 pairs is less than one row of the 32 or 33 fractions
+    monkeypatch.setattr(approx, "_PAIR_BLOCK", 10)
+    assert convergence_report(target, approximant, dyadic_depth=5) == whole
+    assert (whole.length_err, whole.curvature_err) == \
+        convergence_errors_reference(target, approximant, 5)
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_convergence_memory_stays_within_a_few_pair_blocks_at_depth_12(closed):
+    target = make_ellipse(2, 1, 300)
+    approximant = _converge_approximant(target, 64)
+    if not closed:
+        target, approximant = (PolyCurve(c.vertices, closed=False) for c in (target, approximant))
+    convergence_report(target, approximant, dyadic_depth=12)  # fills the curves' caches
+    tracemalloc.start()
+    try:
+        convergence_report(target, approximant, dyadic_depth=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # six float blocks of _PAIR_BLOCK pairs, 12 MiB; one n x n table of the
+    # 4,097 fractions would take 134 MB
+    assert peak < 6 * 8 * approx._PAIR_BLOCK

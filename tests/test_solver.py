@@ -430,6 +430,20 @@ def test_ftol_stop_ends_the_triangle_refinement_early(corpus, monkeypatch):
     assert len(iterations) <= 35
 
 
+def test_ftol_stop_ends_the_jordan11_refinement_early(corpus, monkeypatch):
+    # all 16 converging seeds of jordan11 at grid_m 24 stop by iteration 8;
+    # at _FTOL = 1e-6 one seed that ends diverged kept the loop running for 47
+    iterations = []
+    real = solver._residual_jacobian
+    monkeypatch.setattr(solver, "_residual_jacobian",
+                        lambda chords, tangents: iterations.append(len(chords)) or real(chords, tangents))
+    curve = corpus["jordan11"]
+    cfg = SolverConfig(grid_m=24).resolved(curve)
+    outcomes = solver._refine_batch(curve, seed_grid(curve, cfg), cfg)
+    assert Counter(r for _, r in outcomes) == {"converged": 16, "diverged": 39}
+    assert len(iterations) <= 30
+
+
 def test_ftol_stop_keeps_the_gate_outputs(corpus, monkeypatch):
     for name, curve in _gate_curves(corpus).items():
         for m in (8, 24, 48):
