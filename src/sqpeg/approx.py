@@ -418,29 +418,26 @@ def convergence_report(target: PolyCurve, approximant: PolyCurve,
 
     denom = 2 ** dyadic_depth
     fracs = np.arange(denom + 1) / denom
-    ends = [(curve, curve._arc_ends(fracs * curve.length)) for curve in (target, approximant)]
-    length_err = curvature_err = 0.0
-    last = denom
-    if target.closed:
-        # the last fraction normalizes to the seam, 0, so only the arcs
-        # (j, seam) wrap; the full wrap (0, seam) measures 0 on both curves
-        last, j = denom - 1, np.arange(1, denom)
-        (span_t, mass_t), (span_a, mass_a) = (
-            (curve._span(x[j], x[denom]), curve._mass(x[j], lo[j], x[denom], hi[denom]))
-            for curve, (x, lo, hi) in ends)
-        length_err = float(np.abs(span_t - span_a).max())
-        curvature_err = float(np.abs(mass_t - mass_a).max())
-    # every other arc (j, k), j < k, runs forward without wrapping, where
-    # _span is x[k] - x[j] and _mass prefix[hi[k]] - prefix[lo[j]] to the bit;
+
+    def ends(curve):
+        # x unnormalized in [0, L]: a closed curve's last x is L, not the seam
+        # 0, so every arc (j, k), j < k, runs forward, where _span is x[k] -
+        # x[j] and _mass prefix[hi[k]] - prefix[lo[j]] to the bit
+        x, pos, prefix = fracs * curve.length, curve._atoms[0], curve._atom_prefix
+        return x, prefix[np.searchsorted(pos, x, "left")], prefix[np.searchsorted(pos, x, "right")]
+
+    (xt, ut, vt), (xa, ua, va) = ends(target), ends(approximant)
     # rows of j broadcast both over the k > j (a k < j gives (k, j)'s dlen negated)
-    (xt, ut, vt), (xa, ua, va) = ((x, curve._atom_prefix[hi], curve._atom_prefix[lo])
-                                  for curve, (x, lo, hi) in ends)
-    rows = max(1, _PAIR_BLOCK // (last + 1))
-    k = np.arange(last + 1)
-    for j0 in range(0, last, rows):
-        j, c = k[j0:j0 + rows, None], slice(j0 + 1, last + 1)
+    length_err = curvature_err = 0.0
+    rows = max(1, _PAIR_BLOCK // (denom + 1))
+    k = np.arange(denom + 1)
+    for j0 in range(0, denom, rows):
+        j, c = k[j0:j0 + rows, None], slice(j0 + 1, denom + 1)
         dlen = (xt[c] - xt[j]) - (xa[c] - xa[j])
         dkap = np.where(k[c] > j, (ut[c] - vt[j]) - (ua[c] - va[j]), 0.0)
+        if j0 == 0 and target.closed:
+            # the full wrap (0, 1) ends where it starts, at the seam: 0 on both curves
+            dlen[0, -1] = dkap[0, -1] = 0.0
         length_err = max(length_err, float(dlen.max()), float(-dlen.min()))
         curvature_err = max(curvature_err, float(dkap.max()), float(-dkap.min()))
     return ConvergenceReport(

@@ -13,7 +13,7 @@ import math
 import numbers
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -48,38 +48,41 @@ _RELABEL = np.array([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2],
 _BLOCK = 1 << 16
 # the least relative reduction of a seed's squared score per step (_refine_batch)
 _FTOL = 1e-4
+# a solution's least cyclic gap and mean side are L / _GAP_DIVISOR and L / _SIDE_DIVISOR
+_GAP_DIVISOR = 512.0
+_SIDE_DIVISOR = 1000.0
 
 
 @dataclass
 class SolverConfig:
-    """Knobs for the inscribed-quad search.  grid_m and max_iter are
-    integers.  Length-scale fields left as None are resolved against the
-    curve: dedup_tol = L/grid_m, gap_min = L/512, min_side = L/1000."""
+    """Knobs for the inscribed-quad search: integers grid_m and max_iter, and
+    residual_tol.  resolved(curve) checks them and adds three length scales
+    of the curve length L: dedup_tol = L/grid_m, gap_min = L/512, min_side = L/1000."""
 
     grid_m: int = 24
     max_iter: int = 60
     residual_tol: float = 1e-9
-    dedup_tol: Optional[float] = None
-    gap_min: Optional[float] = None
-    min_side: Optional[float] = None
 
-    def resolved(self, curve: PolyCurve) -> "SolverConfig":
+    def resolved(self, curve: PolyCurve) -> "_Resolved":
         _check_integer("grid_m", self.grid_m)
         _check_integer("max_iter", self.max_iter)
-        L = curve.length
-        cfg = replace(
-            self,
-            dedup_tol=self.dedup_tol if self.dedup_tol is not None else L / self.grid_m,
-            gap_min=self.gap_min if self.gap_min is not None else L / 512.0,
-            min_side=self.min_side if self.min_side is not None else L / 1000.0,
-        )
-        if cfg.grid_m < 8:
+        if self.grid_m < 8:
             raise ValueError("grid_m must be at least 8")
-        if cfg.grid_m > _MAX_GRID_M:
+        if self.grid_m > _MAX_GRID_M:
             raise ValueError(f"grid_m must be at most {_MAX_GRID_M} (memory grows as grid_m^4)")
-        for name in ("max_iter", "residual_tol", "dedup_tol", "gap_min", "min_side"):
-            _check_positive(name, getattr(cfg, name))
-        return cfg
+        for name in ("max_iter", "residual_tol"):
+            _check_positive(name, getattr(self, name))
+        L = curve.length
+        return _Resolved(self.grid_m, self.max_iter, self.residual_tol,
+                         L / self.grid_m, L / _GAP_DIVISOR, L / _SIDE_DIVISOR)
+
+
+@dataclass
+class _Resolved(SolverConfig):
+    """A checked SolverConfig with the length scales it derives from a curve."""
+    dedup_tol: float = 0.0
+    gap_min: float = 0.0
+    min_side: float = 0.0
 
 
 def _check_integer(name: str, value) -> None:
@@ -245,12 +248,30 @@ def refine(curve: PolyCurve, seed, config: Optional[SolverConfig] = None):
     less than _FTOL = 1e-4 of itself (see _refine_batch).
     """
     cfg = (config or SolverConfig()).resolved(curve)
-    return _refine_batch(curve, np.asarray(seed, dtype=float).reshape(1, 4), cfg)[0]
+    params, reasons = _refine_batch(curve, np.asarray(seed, dtype=float).reshape(1, 4), cfg)
+    return (params[0] if reasons[0] == "converged" else None), str(reasons[0])
 
 
-def _refine_batch(curve: PolyCurve, seeds: np.ndarray, cfg: SolverConfig) -> list:
-    """Refinement of many seeds at once, one (params, reason) pair per seed
-    as refine() describes.
+def _judge(curve: PolyCurve, t: np.ndarray, cfg: SolverConfig):
+    """(params (k, 4) sorted ascending in [0, L), reasons (k,)) of the tuples
+    t (k, 4): "converged" or the first rule broken of diverged (the sorted
+    tuple's residual over residual_tol), ordering_broken (t does not wind
+    once: else it sorts to a relabeling), collapsed (a gap of t under
+    gap_min) and small_side (mean side under min_side)."""
+    L = curve.length
+    params = np.sort(np.mod(t, L), axis=1)
+    res, ms = _eval_batch(curve, params)
+    gaps = _cyclic_gaps(t, L)
+    reasons = np.select(
+        [_norms(res, ms) > cfg.residual_tol, ~_winds_once(gaps, L),
+         np.min(gaps, axis=1) < cfg.gap_min, ms < cfg.min_side],
+        ["diverged", "ordering_broken", "collapsed", "small_side"], "converged")
+    return params, reasons
+
+
+def _refine_batch(curve: PolyCurve, seeds: np.ndarray, cfg: SolverConfig):
+    """Refinement of many seeds at once: (params (K, 4), reasons (K,)) of
+    _judge on the refined tuples, the outcomes refine() describes.
 
     Every seed runs its own damped least-squares update (per-seed damping,
     acceptance and stopping) in lock step with the others; batching only
@@ -267,8 +288,6 @@ def _refine_batch(curve: PolyCurve, seeds: np.ndarray, cfg: SolverConfig) -> lis
     score by less than 1.1e-3 in one step, 11 times _FTOL.
     """
     K = seeds.shape[0]
-    if K == 0:
-        return []
     L = curve.length
     target = 0.1 * cfg.residual_tol
 
@@ -331,15 +350,7 @@ def _refine_batch(curve: PolyCurve, seeds: np.ndarray, cfg: SolverConfig) -> lis
         stalled = pending | (accepted_step < 1e-15 * L) | (norm[idx] > math.sqrt(1.0 - _FTOL) * norm0)
         active[idx[stalled]] = False
 
-    # the sorted tuple, a relabeling when it winds once, is tested and reported
-    params = np.sort(np.mod(t, L), axis=1)
-    res, ms = _eval_batch(curve, params)
-    gaps = _cyclic_gaps(t, L)
-    reasons = np.select(
-        [_norms(res, ms) > cfg.residual_tol, ~_winds_once(gaps, L),
-         np.min(gaps, axis=1) < cfg.gap_min, ms < cfg.min_side],
-        ["diverged", "ordering_broken", "collapsed", "small_side"], "converged")
-    return [(p if r == "converged" else None, str(r)) for p, r in zip(params, reasons)]
+    return _judge(curve, t, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -373,32 +384,20 @@ def _greedy_classes(cands: np.ndarray, L: float, tol: float) -> list:
 
 def _snap_to_grid(curve: PolyCurve, params: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     """Replace each solution of params (k, 4) by its grid-rounded tuple when
-    that tuple is itself a valid solution.  On solution continua (e.g. every
+    _judge finds that tuple converged.  On solution continua (e.g. every
     square of a circle) this pins the reported representatives to
     grid-aligned members, keeping output stable across reruns and
     resolutions; isolated solutions reject the rounded tuple through the
     residual test and pass through unchanged."""
     L = curve.length
     g = L / cfg.grid_m
-    snapped = np.sort(np.mod(np.round(params / g) * g, L), axis=1)
-    gaps = _cyclic_gaps(snapped, L)
-    ok = _winds_once(gaps, L) & (np.min(gaps, axis=1) >= cfg.gap_min)
-    if np.any(ok):
-        res, ms = _eval_batch(curve, snapped[ok])
-        ok[ok] = (ms >= cfg.min_side) & (_norms(res, ms) <= cfg.residual_tol)
-    return np.where(ok[:, None], snapped, params)
+    snapped, reasons = _judge(curve, np.sort(np.mod(np.round(params / g) * g, L), axis=1), cfg)
+    return np.where((reasons == "converged")[:, None], snapped, params)
 
 
 # ---------------------------------------------------------------------------
 # top-level search
 # ---------------------------------------------------------------------------
-
-def _arc_kappa_ok(curve: PolyCurve, params: np.ndarray) -> bool:
-    try:
-        return verify_quad_arc_curvature(curve, params, _ARC_KAPPA_TOL)
-    except ValueError:
-        return False
-
 
 def _detect_non_generic(reps: np.ndarray, L, tol) -> bool:
     """A long chain of classes packed at the dedup resolution signals a
@@ -442,7 +441,7 @@ def _solution_set(curve: PolyCurve, reps: np.ndarray, raw_count: int, note_prefi
             open_turning=float(rows.open_turning[i]),
             residual=rows.residual[i],
             residual_norm=float(rows.residual_norm[i]),
-            arc_kappa_ok=_arc_kappa_ok(curve, params),
+            arc_kappa_ok=verify_quad_arc_curvature(curve, params, _ARC_KAPPA_TOL),
         )
         for i, params in enumerate(reps)
     ]
@@ -460,27 +459,31 @@ def find_quads(curve: PolyCurve, config: Optional[SolverConfig] = None) -> Solut
     """Full search: seed, refine, validate, snap, deduplicate, annotate.
 
     The curve must be closed; a warning (not an error) is issued when it is
-    not embedded, since the search itself needs no embeddedness.
+    not embedded, since the search itself needs no embeddedness.  Seeding
+    through dedup runs on an exact power-of-two copy of length in [1/2, 1),
+    where no squared or cubed length overflows or underflows.
     """
     if not curve.closed:
         raise ValueError("find_quads requires a closed curve")
-    cfg = (config or SolverConfig()).resolved(curve)
+    e = math.frexp(curve.length)[1]
+    unit = PolyCurve(np.ldexp(curve.vertices, -e), closed=True)
+    cfg = (config or SolverConfig()).resolved(unit)
     if not curve.is_embedded(0.0):
         warnings.warn("curve is not embedded; results are best-effort")
 
-    outcomes = _refine_batch(curve, seed_grid(curve, cfg), cfg)
-    accepted = np.array([p for p, reason in outcomes if reason == "converged"]).reshape(-1, 4)
-    accepted = _snap_to_grid(curve, accepted, cfg)
+    params, reasons = _refine_batch(unit, seed_grid(unit, cfg), cfg)
+    accepted = _snap_to_grid(unit, params[reasons == "converged"], cfg)
 
     # greedy classes in (t1, t2, t3, t4) order; the first member represents each
     accepted = accepted[np.lexsort(accepted.T[::-1])]
-    reps = accepted[_greedy_classes(accepted, curve.length, cfg.dedup_tol)]
+    reps = accepted[_greedy_classes(accepted, unit.length, cfg.dedup_tol)]
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("find_quads: %d seeds, refine outcomes %s, raw_count %d, %d classes", len(outcomes),
-                   dict(sorted(Counter(r for _, r in outcomes).items())), len(accepted), len(reps))
-    return _solution_set(curve, reps, len(accepted), "", cfg.dedup_tol, {
+        _log.debug("find_quads: %d seeds, refine outcomes %s, raw_count %d, %d classes", len(reasons),
+                   dict(sorted(Counter(reasons.tolist()).items())), len(accepted), len(reps))
+    dedup_tol = math.ldexp(cfg.dedup_tol, e)
+    return _solution_set(curve, np.ldexp(reps, e), len(accepted), "", dedup_tol, {
         "grid_m": cfg.grid_m,
-        "dedup_tol": cfg.dedup_tol,
+        "dedup_tol": dedup_tol,
         "residual_tol": cfg.residual_tol,
     })
 
@@ -489,8 +492,7 @@ def find_quads(curve: PolyCurve, config: Optional[SolverConfig] = None) -> Solut
 # exhaustive oracle
 # ---------------------------------------------------------------------------
 
-def brute_force_oracle(curve: PolyCurve, m: int = 24, tol: float = 0.3,
-                       config: Optional[SolverConfig] = None) -> SolutionSet:
+def brute_force_oracle(curve: PolyCurve, m: int = 24, tol: float = 0.3) -> SolutionSet:
     """Pure grid search: the grid-local minima of the normalized residual
     (largest residual component over the squared mean side; each sorted grid
     tuple no larger than its 8 axis neighbours), taken on an m-point grid
@@ -507,7 +509,7 @@ def brute_force_oracle(curve: PolyCurve, m: int = 24, tol: float = 0.3,
     _check_positive("tol", tol)
     if not 8 <= m <= 48:
         raise ValueError("oracle grid needs 8 <= m <= 48 (O(m^4) tuples)")
-    cfg = (config or SolverConfig()).resolved(curve)
+    cfg = SolverConfig().resolved(curve)
     L = curve.length
     cands, norms = _grid_local_minima(curve, m, cfg, _norms)
     hit = norms <= tol

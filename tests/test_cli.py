@@ -285,6 +285,34 @@ def test_converge_circle(tmp_path, circle_file):
     assert all(abs(s - math.sqrt(2)) < 0.1 for s in sides)
 
 
+def test_converge_writes_null_for_an_n_with_no_solutions(tmp_path):
+    # no tuple reaches a residual tol of 1e-300, so min_side has no value
+    src, out = tmp_path / "c.json", tmp_path / "conv.csv"
+    assert run(["--out", str(src), "generate", "circle", "--samples", "8"]) == 0
+    assert run(["--tol", "1e-300", "--out", str(out), "converge", str(src), "--n-list", "8,16",
+                "--grid-m", "8"]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "N,position_err,length_err,curvature_err,min_side,pi_capped,total_curvature"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(r[0], r[4]) for r in rows] == [("8", "null"), ("16", "null")]
+    assert all(math.isfinite(float(c)) for r in rows for c in r[:4] + r[5:])
+
+
+@pytest.mark.parametrize("scale", ["1e-20", "1e120"])
+def test_find_is_scale_invariant(tmp_path, scale):
+    # both lie beyond 2^-55 and 2^345, where a search at the curve's own
+    # scale loses its normal equations to underflow and overflow
+    sides = []
+    for a, b in (("2", "1"), (f"2{scale[1:]}", scale)):
+        src, out = tmp_path / f"e{a}.json", tmp_path / f"sol{a}.json"
+        assert run(["--out", str(src), "generate", "ellipse", "--a", a, "--b", b,
+                    "--samples", "64"]) == 0
+        assert run(["--out", str(out), "find", str(src)]) == 0
+        sides.append([np.mean(s["sides"]) for s in read_json(out)["solutions"]])
+    assert len(sides[1]) == len(sides[0]) == 1
+    assert math.isclose(sides[1][0], sides[0][0] * float(scale), rel_tol=1e-12)
+
+
 def test_converge_with_smoothing_flags(tmp_path):
     src = tmp_path / "e.json"
     assert run(["--out", str(src), "generate", "ellipse", "--a", "2", "--b", "1",

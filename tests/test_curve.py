@@ -525,6 +525,31 @@ def test_is_embedded_touching_and_collinear_overlap():
     assert apart.is_embedded(0.0)
 
 
+def _exact_orientation(p, q, r):
+    (px, py), (qx, qy), (rx, ry) = ([Fraction(float(c)) for c in v] for v in (p, q, r))
+    cross = (qx - px) * (ry - py) - (qy - py) * (rx - px)
+    return (cross > 0) - (cross < 0)
+
+
+def test_orientation_takes_exact_signs_where_floats_cannot_decide():
+    # points (k/10, sk/10) on decimal lines of slope s: the floats lie near
+    # the line, so the float cross product's sign is rounding noise.  The
+    # first triple's reads +1 where its exact sign is 0.  Random triples
+    # are decided by the float sign.
+    rng = np.random.default_rng(97)
+    k = rng.integers(-50, 51, (300, 3))
+    k[0] = (1, 7, 3)
+    slope = rng.choice([3, 7, -2], 300)[:, None]
+    pts = np.stack((k / 10, slope * k / 10), axis=-1)
+    pts = np.concatenate((pts, rng.normal(size=(100, 3, 2))))
+    p, q, r = pts[:, 0], pts[:, 1], pts[:, 2]
+    exact = [_exact_orientation(*row) for row in pts]
+    floats = np.sign((q[:, 0] - p[:, 0]) * (r[:, 1] - p[:, 1]) - (q[:, 1] - p[:, 1]) * (r[:, 0] - p[:, 0]))
+    assert (floats[0], exact[0]) == (1.0, 0)
+    assert curve_mod._orientation(p, q, r).tolist() == exact
+    assert np.count_nonzero(floats != exact) > 10
+
+
 def _embedding_curves():
     rng = np.random.default_rng(31)
     curves = [make_random_jordan(n, seed=s) for s, n in enumerate((24, 48, 96))]

@@ -67,10 +67,11 @@ def test_seed_combinations_match_itertools():
         assert np.array_equal(solver._combinations4(m), expected)
 
 
-def test_seed_grid_gap_min_filter():
+def test_seed_grid_gap_min_filter(monkeypatch):
     c = make_circle(1.0, 90)
     L = c.length
-    seeds = seed_grid(c, SolverConfig(grid_m=16, gap_min=L / 4.0))
+    monkeypatch.setattr(solver, "_GAP_DIVISOR", 4.0)
+    seeds = seed_grid(c, SolverConfig(grid_m=16))
     assert len(seeds) > 0
     for s in seeds:
         gaps = np.diff(np.append(s, s[0] + L))
@@ -113,20 +114,22 @@ def _mean_sides(curve, m):
     return _residuals_of_points(curve.point_at(grid)[solver._combinations4(m)])[1]
 
 
-def _strict_config(curve):
+def _strict_config(curve, monkeypatch):
     """min_side at the median grid side scores about half the tuples inf, and
     gap_min at L/10 drops many of the minima left."""
-    return SolverConfig(min_side=float(np.median(_mean_sides(curve, 24))),
-                        gap_min=curve.length / 10.0)
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "_SIDE_DIVISOR", curve.length / float(np.median(_mean_sides(curve, 24))))
+        mp.setattr(solver, "_GAP_DIVISOR", 10.0)
+        return SolverConfig().resolved(curve)
 
 
 @pytest.mark.parametrize("block", [solver._BLOCK, 997])
 def test_rank_neighbours_match_the_dense_cube(corpus, monkeypatch, block):
     monkeypatch.setattr(solver, "_BLOCK", block)
     for name, curve in corpus.items():
-        for cfg, score in itertools.product((SolverConfig(), _strict_config(curve)),
+        for cfg, score in itertools.product((SolverConfig().resolved(curve),
+                                             _strict_config(curve, monkeypatch)),
                                             (solver._smooth_norms, solver._norms)):
-            cfg = cfg.resolved(curve)
             for m in (8, 9, 24, 33):
                 got, expected = solver._grid_local_minima(curve, m, cfg, score), \
                     _cube_local_minima(curve, m, cfg, score)
@@ -134,10 +137,10 @@ def test_rank_neighbours_match_the_dense_cube(corpus, monkeypatch, block):
                 assert np.array_equal(got[1], expected[1]), (name, m, score.__name__)
 
 
-def test_strict_config_scores_inf_and_drops_tuples(corpus):
+def test_strict_config_scores_inf_and_drops_tuples(corpus, monkeypatch):
     for name in ("ellipse512", "trefoil512"):
         curve = corpus[name]
-        cfg = _strict_config(curve).resolved(curve)
+        cfg = _strict_config(curve, monkeypatch)
         assert 0.4 < np.mean(_mean_sides(curve, 24) < cfg.min_side) < 0.6, name
         kept = len(_cube_local_minima(curve, 24, cfg, solver._norms)[0])
         ungapped = len(_cube_local_minima(curve, 24, dataclasses.replace(cfg, gap_min=0.0),
@@ -239,13 +242,43 @@ def test_refine_rejects_straight_edge_seed():
     assert reason in {"collapsed", "small_side", "diverged", "ordering_broken"}
 
 
+@pytest.mark.parametrize("reason, t, divisors", [
+    ("converged", [0.0, 0.25, 0.5, 0.75], {}),
+    ("diverged", [0.0, 0.1, 0.5, 0.6], {}),
+    ("ordering_broken", [0.0, 0.5, 0.25, 0.75], {}),
+    ("collapsed", [0.0, 0.25, 0.5, 0.75], {"_GAP_DIVISOR": 3.0}),
+    ("small_side", [0.0, 0.25, 0.5, 0.75], {"_SIDE_DIVISOR": 2.0}),
+])
+def test_one_rule_judges_refined_and_snapped_tuples(monkeypatch, reason, t, divisors):
+    # fractions of L on a circle: the square, a rectangle, the square's
+    # vertices out of cyclic order, and the square under a gap_min of L/3
+    # and a min_side of L/2; each passes the rules before the one it breaks
+    curve = make_circle(1.0, 360)
+    L = curve.length
+    for name, value in divisors.items():
+        monkeypatch.setattr(solver, name, value)
+    cfg = SolverConfig().resolved(curve)
+    t = np.array([t]) * L
+    params, reasons = solver._judge(curve, t, cfg)
+    assert reasons.tolist() == [reason]
+    assert np.array_equal(params, np.sort(t, axis=1))
+    # snapping tests the sorted grid tuple by the same rule
+    g = L / cfg.grid_m
+    near = params + 0.1 * g
+    snapped = solver._snap_to_grid(curve, near, cfg)
+    if reason in ("converged", "ordering_broken"):
+        assert np.array_equal(snapped, np.round(near / g) * g)
+    else:
+        assert np.array_equal(snapped, near)
+
+
 def test_batched_refinement_matches_per_seed_path(ellipse):
     from sqpeg.solver import _refine_batch
 
     cfg = SolverConfig().resolved(ellipse)
     seeds = _chebyshev_seed_grid(ellipse, cfg)[::4]
     assert len(seeds) >= 28
-    for seed, (bp, br) in zip(seeds, _refine_batch(ellipse, seeds, cfg)):
+    for seed, (bp, br) in zip(seeds, _outcomes(*_refine_batch(ellipse, seeds, cfg))):
         sp, sr = refine(ellipse, seed, cfg)
         assert sr == br
         if sp is not None:
@@ -325,8 +358,6 @@ def _fd_jacobian(curve, t, h):
 
 def _fd_refine_batch(curve, seeds, cfg):
     K = seeds.shape[0]
-    if K == 0:
-        return []
     L = curve.length
     h = L / (16.0 * cfg.grid_m)
     target = 0.1 * cfg.residual_tol
@@ -387,7 +418,11 @@ def _fd_refine_batch(curve, seeds, cfg):
         [norm > cfg.residual_tol, ~solver._winds_once(gaps, L),
          np.min(gaps, axis=1) < cfg.gap_min, ms < cfg.min_side],
         ["diverged", "ordering_broken", "collapsed", "small_side"], "converged")
-    params = np.sort(np.mod(t, L), axis=1)
+    return np.sort(np.mod(t, L), axis=1), reasons
+
+
+def _outcomes(params, reasons):
+    """The (params or None, reason) list of one _refine_batch result."""
     return [(p if r == "converged" else None, str(r)) for p, r in zip(params, reasons)]
 
 
@@ -411,7 +446,7 @@ def test_batched_ladder_matches_sequential_trials(corpus):
     for label, curve, m in _ladder_cases(corpus):
         cfg = SolverConfig(grid_m=m).resolved(curve)
         seeds = seed_grid(curve, cfg)
-        _assert_same_outcomes(solver._refine_batch(curve, seeds, cfg),
+        _assert_same_outcomes(_outcomes(*solver._refine_batch(curve, seeds, cfg)),
                               _ref_refine_batch(curve, seeds, cfg), label)
 
 
@@ -425,7 +460,7 @@ def test_ftol_stop_ends_the_triangle_refinement_early(corpus, monkeypatch):
                         lambda chords, tangents: iterations.append(len(chords)) or real(chords, tangents))
     curve = corpus["triangle345"]
     cfg = SolverConfig(grid_m=24).resolved(curve)
-    outcomes = solver._refine_batch(curve, _chebyshev_seed_grid(curve, cfg), cfg)
+    outcomes = _outcomes(*solver._refine_batch(curve, _chebyshev_seed_grid(curve, cfg), cfg))
     assert sum(r == "converged" for _, r in outcomes) == 57
     assert len(iterations) <= 35
 
@@ -439,7 +474,7 @@ def test_ftol_stop_ends_the_jordan11_refinement_early(corpus, monkeypatch):
                         lambda chords, tangents: iterations.append(len(chords)) or real(chords, tangents))
     curve = corpus["jordan11"]
     cfg = SolverConfig(grid_m=24).resolved(curve)
-    outcomes = solver._refine_batch(curve, seed_grid(curve, cfg), cfg)
+    outcomes = _outcomes(*solver._refine_batch(curve, seed_grid(curve, cfg), cfg))
     assert Counter(r for _, r in outcomes) == {"converged": 16, "diverged": 39}
     assert len(iterations) <= 30
 
@@ -480,11 +515,11 @@ def test_ladder_falls_back_to_one_solve_per_row(corpus, monkeypatch):
     expected = {}
     for name, curve in cases:
         cfg = SolverConfig(grid_m=8).resolved(curve)
-        expected[name] = solver._refine_batch(curve, seed_grid(curve, cfg), cfg)
+        expected[name] = _outcomes(*solver._refine_batch(curve, seed_grid(curve, cfg), cfg))
     monkeypatch.setattr(np.linalg, "solve", rowwise_only)
     for name, curve in cases:
         cfg = SolverConfig(grid_m=8).resolved(curve)
-        _assert_same_outcomes(solver._refine_batch(curve, seed_grid(curve, cfg), cfg),
+        _assert_same_outcomes(_outcomes(*solver._refine_batch(curve, seed_grid(curve, cfg), cfg)),
                               expected[name], name)
     assert refused
 
@@ -498,9 +533,9 @@ def test_ladder_rows_that_fail_to_solve_are_never_accepted(corpus, monkeypatch):
     curve = corpus["ellipse512"]
     cfg = SolverConfig(grid_m=8).resolved(curve)
     seeds = seed_grid(curve, cfg)
-    expected = solver._refine_batch(curve, seeds, dataclasses.replace(cfg, max_iter=0))
+    expected = _outcomes(*solver._refine_batch(curve, seeds, dataclasses.replace(cfg, max_iter=0)))
     monkeypatch.setattr(np.linalg, "solve", singular)
-    _assert_same_outcomes(solver._refine_batch(curve, seeds, cfg), expected, "ellipse512")
+    _assert_same_outcomes(_outcomes(*solver._refine_batch(curve, seeds, cfg)), expected, "ellipse512")
 
 
 def _cell_jacobian(curve, t):
@@ -613,7 +648,7 @@ def test_trefoil_solutions():
 def test_find_quads_logs_its_stage_counts(ellipse, ellipse_solutions, caplog):
     cfg = SolverConfig().resolved(ellipse)
     seeds = seed_grid(ellipse, cfg)
-    outcomes = dict(sorted(Counter(r for _, r in solver._refine_batch(ellipse, seeds, cfg)).items()))
+    outcomes = dict(sorted(Counter(solver._refine_batch(ellipse, seeds, cfg)[1].tolist()).items()))
     with caplog.at_level(logging.DEBUG, logger="sqpeg.solver"):
         sol = find_quads(ellipse)
     assert [r.getMessage() for r in caplog.records if r.name == "sqpeg.solver"] == [
@@ -714,19 +749,25 @@ def _find_quietly(curve, config=None):
 
 
 def test_post_refinement_matches_scalar_reference(corpus, monkeypatch):
+    # the search runs on a power-of-two copy of the curve, the one refinement
+    # is given, and reports its classes on the curve itself
     outcomes = []
 
     def recording(curve, seeds, cfg):
-        outcomes.append(real(curve, seeds, cfg))
-        return outcomes[-1]
+        result = real(curve, seeds, cfg)
+        outcomes.append((curve, _outcomes(*result)))
+        return result
 
     real = solver._refine_batch
     monkeypatch.setattr(solver, "_refine_batch", recording)
     for name, curve in _gate_curves(corpus).items():
         sol = _find_quietly(curve)
-        cfg = SolverConfig().resolved(curve)
-        L = curve.length
-        accepted = [_ref_snap(curve, p, cfg) for p, r in outcomes[-1] if r == "converged"]
+        unit, refined = outcomes[-1]
+        scale = curve.length / unit.length
+        assert 0.5 <= unit.length < 1.0 and scale == 2.0 ** round(math.log2(scale)), name
+        cfg = SolverConfig().resolved(unit)
+        L = unit.length
+        accepted = [_ref_snap(unit, p, cfg) for p, r in refined if r == "converged"]
         reps = _ref_dedup(accepted, L, cfg.dedup_tol)
         non_generic = _ref_non_generic(reps, L, cfg.dedup_tol)
         assert sol.raw_count == len(accepted), name
@@ -734,7 +775,7 @@ def test_post_refinement_matches_scalar_reference(corpus, monkeypatch):
         assert sol.parity_note == solver._parity_text(len(reps), non_generic), name
         assert len(sol.solutions) == len(reps), name
         for s, rp in zip(sol.solutions, reps):
-            assert np.array_equal(s.params, rp), name
+            assert np.array_equal(s.params, rp * scale), name
 
 
 def _quad_reference(points):
@@ -976,6 +1017,32 @@ def test_solutions_invariant_under_start_orientation_and_motion(corpus, name):
             assert d <= 1e-10 * L, label
 
 
+_SCALED_CURVES = {
+    "ellipse64": lambda: make_ellipse(2.0, 1.0, 64),
+    "triangle345": lambda: PolyCurve(TRIANGLE, closed=True),
+    "circle360": lambda: make_circle(1.0, 360),
+}
+
+
+@given(st.sampled_from(sorted(_SCALED_CURVES)), st.integers(-500, 480))
+def test_solutions_scale_with_a_power_of_two_copy(name, k):
+    # 2^k scales every length exactly, so the classes must scale to the bit.
+    # The range reaches the scales where, on the curve as given, refinement's
+    # floor 1e-30 on diag(J^T J) would outweigh it (k <= -55) and J^T r,
+    # which grows as L^3, would overflow (k >= 345)
+    curve = _SCALED_CURVES[name]()
+    base = find_quads(curve)
+    sol = find_quads(PolyCurve(np.ldexp(curve.vertices, k), closed=True))
+    assert len(base.solutions) > 0, name
+    assert (sol.raw_count, sol.non_generic) == (base.raw_count, base.non_generic), k
+    assert len(sol.solutions) == len(base.solutions), k
+    assert sol.resolution["dedup_tol"] == math.ldexp(base.resolution["dedup_tol"], k)
+    for s, b in zip(sol.solutions, base.solutions):
+        assert np.array_equal(s.params, np.ldexp(b.params, k)), k
+        assert np.array_equal(s.points, np.ldexp(b.points, k)), k
+        assert s.arc_kappa_ok == b.arc_kappa_ok, k
+
+
 def test_config_validation():
     c = make_circle(1.0, 60)
     with pytest.raises(ValueError, match="grid_m"):
@@ -994,7 +1061,7 @@ def test_config_rejects_non_integer_counts(name, value):
         find_quads(c, SolverConfig(**{name: value}))
 
 
-@pytest.mark.parametrize("name", ["residual_tol", "dedup_tol", "gap_min", "min_side"])
+@pytest.mark.parametrize("name", ["residual_tol"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_fields(name, value):
     c = make_circle(1.0, 60)
