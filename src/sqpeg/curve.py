@@ -58,14 +58,14 @@ def angle_between(u, v) -> float:
 def _cyclic_gaps(params, L) -> np.ndarray:
     """Forward gaps t[i+1] - t[i] (mod L) of parameter tuples (..., k)."""
     t = np.mod(params, L)
-    return np.mod(np.roll(t, -1, axis=-1) - t, L)
+    return np.mod(np.concatenate((t[..., 1:], t[..., :1]), axis=-1) - t, L)
 
 
 def _winds_once(gaps, L) -> np.ndarray:
     """Rows of cyclic gaps with no zero gap that sum to L (math.isclose at
     rel_tol 1e-9): the tuple goes around the curve exactly once."""
-    total = np.sum(gaps, axis=-1)
-    return np.all(gaps != 0.0, axis=-1) & (np.abs(total - L) <= 1e-9 * np.maximum(np.abs(total), L))
+    total = gaps.sum(axis=-1)
+    return (gaps != 0.0).all(axis=-1) & (np.abs(total - L) <= 1e-9 * np.maximum(np.abs(total), L))
 
 
 def _clamp(x, hi):
@@ -259,17 +259,17 @@ class PolyCurve:
         vertex takes the edge that leaves it (an open curve's end, the last)."""
         s = self.normalize_param(s)
         idx = np.searchsorted(self._knots, s, side="right") - 1
-        idx = np.clip(idx, 0, self.num_edges - 1)
-        local = s - self.cum_len[idx]
-        frac = local / self._edge_lens[idx]
-        pts = self.vertices[idx] + frac[:, None] * self._edge_vecs[idx]
+        idx = np.minimum(np.maximum(idx, 0), self.num_edges - 1)
+        local = s - self.cum_len.take(idx)
+        frac = local / self._edge_lens.take(idx)
+        pts = self.vertices.take(idx, axis=0) + frac[:, None] * self._edge_vecs.take(idx, axis=0)
         if not self.closed:
             # exact hit of the far endpoint
             at_end = s == self.length
-            if np.any(at_end):
+            if at_end.any():
                 pts[at_end] = self.vertices[-1]
         exact = frac == 0.0
-        if np.any(exact):
+        if exact.any():
             pts[exact] = self.vertices[idx[exact]]
         return idx, pts
 

@@ -22,6 +22,8 @@ _TRIPLES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 _TAIL, _HEAD = np.array([0, 1, 2, 3, 0, 1]), np.array([1, 2, 3, 0, 2, 3])
 # residual r is |chord _PLUS[r]|^2 - |chord _MINUS[r]|^2
 _PLUS, _MINUS = np.array([0, 1, 2, 4]), np.array([1, 2, 3, 5])
+# _ENDS[c, i] is d(head - tail of chord c) / d(vertex i): +1 at its head, -1 at its tail
+_ENDS = np.eye(4)[_HEAD] - np.eye(4)[_TAIL]
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +50,7 @@ def _residual_jacobian(chords, tangents) -> np.ndarray:
     i moves with unit velocity tangents[:, i] (k, 4, n) as t_i grows: exact
     on a polygon, where a vertex is affine along its edge, as chord c gives
     d|c|^2/dt_head = 2 c.u_head and d|c|^2/dt_tail = -2 c.u_tail."""
-    grad = 2.0 * np.einsum("kcj,kij->kci", chords, tangents) * (np.eye(4)[_HEAD] - np.eye(4)[_TAIL])
+    grad = 2.0 * np.einsum("kcj,kij->kci", chords, tangents) * _ENDS
     return grad[:, _PLUS] - grad[:, _MINUS]
 
 
@@ -60,9 +62,8 @@ def _residuals_of_points(pts) -> tuple[np.ndarray, np.ndarray]:
 
 def _norms(res, mean_side) -> np.ndarray:
     """max |residual component| / (mean side)^2 per row; inf at mean side 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.max(np.abs(res), axis=1) / (mean_side * mean_side)
-    return np.where(mean_side > 0.0, out, np.inf)
+    out = np.full(mean_side.shape, np.inf)
+    return np.divide(np.abs(res).max(axis=1), mean_side * mean_side, out=out, where=mean_side > 0.0)
 
 
 def _smooth_norms(res, mean_side) -> np.ndarray:

@@ -48,6 +48,9 @@ _RELABEL = np.array([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2],
 _BLOCK = 1 << 16
 # the least relative reduction of a seed's squared score per step (_refine_batch)
 _FTOL = 1e-4
+# iterations in a row of broken cyclic order after which a seed stops (_refine_batch)
+_BROKEN_STREAK = 2
+_EYE4 = np.eye(4)
 # a solution's least cyclic gap and mean side are L / _GAP_DIVISOR and L / _SIDE_DIVISOR
 _GAP_DIVISOR = 512.0
 _SIDE_DIVISOR = 1000.0
@@ -143,7 +146,7 @@ def _eval_cells(curve: PolyCurve, params):
     idx, pts = curve._locate(params.reshape(-1))
     shape = params.shape + (curve.dimension,)
     chords, _, _, res, mean_side = _sides_and_residuals(pts.reshape(shape))
-    return chords, res, mean_side, curve._edge_tangents[idx].reshape(shape)
+    return chords, res, mean_side, curve._edge_tangents.take(idx, axis=0).reshape(shape)
 
 
 def _eval_batch(curve: PolyCurve, params) -> tuple[np.ndarray, np.ndarray]:
@@ -179,36 +182,42 @@ def _grid_local_minima(curve: PolyCurve, m: int, cfg: SolverConfig, score):
     larger than any of its 8 axis neighbours (index a moved by +-1); a
     neighbour that is not a sorted 4-subset of range(m) does not count.
     Tuples with a cyclic gap under gap_min are then dropped.
+
+    A tuple's rank in lexicographic order is its row, and its neighbours
+    along the last index are the rows next to it: those two are compared for
+    all tuples by shifted slices, and the other six only for those that pass.
     """
     L = curve.length
     grid = np.arange(m) * (L / m)
     combos = _combinations4(m)
     pts = curve.point_at(grid)
     diff = pts[None, :, :] - pts[:, None, :]
-    chord_sq = np.einsum("ijd,ijd->ij", diff, diff)  # |pts[j] - pts[i]|^2
+    chord_sq = np.einsum("ijd,ijd->ij", diff, diff).ravel()  # |pts[j] - pts[i]|^2 at i * m + j
     chord = np.sqrt(chord_sq)
     n = combos.shape[0]
-    scores, keep = np.empty(n), np.empty(n, dtype=bool)
+    scores = np.empty(n)
     for lo in range(0, n, _BLOCK):
-        tail, head = combos[lo:lo + _BLOCK, _TAIL], combos[lo:lo + _BLOCK, _HEAD]
-        res, mean_side = _residuals_of_chords(chord_sq[tail, head], chord[tail[:, :4], head[:, :4]])
+        c = combos[lo:lo + _BLOCK]
+        flat = c[:, _TAIL] * m + c[:, _HEAD]
+        res, mean_side = _residuals_of_chords(chord_sq.take(flat), chord.take(flat[:, :4]))
         scores[lo:lo + _BLOCK] = np.where(mean_side >= cfg.min_side, score(res, mean_side), np.inf)
-    # combos is lexicographic, so a tuple's rank is its row; moving entry a by
-    # +1 adds C(m-2-c_a, 3-a) to the rank, by -1 subtracts C(m-1-c_a, 3-a)
-    binom = np.array([[math.comb(x, 3 - a) for a in range(4)] for x in range(m)])
-    for lo in range(0, n, _BLOCK):
-        c, rank = combos[lo:lo + _BLOCK], np.arange(lo, min(lo + _BLOCK, n))
-        bounds = np.column_stack([np.full(rank.size, -1), c, np.full(rank.size, m)])
-        own = scores[rank]
-        ok = np.isfinite(own)
-        for a in range(4):
-            up = rank + binom[np.maximum(m - 2 - c[:, a], 0), a]
-            down = rank - binom[m - 1 - c[:, a], a]
-            ok &= own <= scores[np.where(c[:, a] + 1 < bounds[:, a + 2], up, rank)]
-            ok &= own <= scores[np.where(c[:, a] - 1 > bounds[:, a], down, rank)]
-        keep[lo:lo + _BLOCK] = ok
+    last = combos[:, 3]
+    keep = np.isfinite(scores)
+    keep[:-1] &= (scores[:-1] <= scores[1:]) | (last[:-1] == m - 1)
+    keep[1:] &= (scores[1:] <= scores[:-1]) | (last[1:] == combos[1:, 2] + 1)
+    # moving index a < 3 by +1 adds C(m-2-c_a, 3-a) to the rank, by -1
+    # subtracts C(m-1-c_a, 3-a)
+    binom = np.array([[math.comb(x, 3 - a) for a in range(3)] for x in range(m)])
+    rank = np.flatnonzero(keep)
+    c, own = combos[rank], scores[rank]
+    keep = np.ones(rank.size, dtype=bool)
+    for a in range(3):
+        up = rank + binom[np.maximum(m - 2 - c[:, a], 0), a]
+        down = rank - binom[m - 1 - c[:, a], a]
+        keep &= own <= scores[np.where(c[:, a] + 1 < c[:, a + 1], up, rank)]
+        keep &= own <= scores[np.where(c[:, a] - 1 > (c[:, a - 1] if a else -1), down, rank)]
 
-    params, scores = grid[combos[keep]], scores[keep]
+    params, scores = grid[c[keep]], own[keep]
     keep = np.min(_cyclic_gaps(params, L), axis=1) >= cfg.gap_min
     return params[keep], scores[keep]
 
@@ -245,11 +254,22 @@ def refine(curve: PolyCurve, seed, config: Optional[SolverConfig] = None):
     uses the exact Jacobian of the cells the parameters lie in (their
     polygon edges), where the residual is quadratic in the parameters.  The
     seed stops once a step reduces the square of its normalized norm by
-    less than _FTOL = 1e-4 of itself (see _refine_batch).
+    less than _FTOL = 1e-4 of itself, or once its iterate has left the
+    cyclic order at two iterations in a row (see _refine_batch).  It runs
+    on find_quads' power-of-two copy of the curve, so the params of a curve
+    scaled by 2^k are its own times 2^k.
     """
-    cfg = (config or SolverConfig()).resolved(curve)
-    params, reasons = _refine_batch(curve, np.asarray(seed, dtype=float).reshape(1, 4), cfg)
-    return (params[0] if reasons[0] == "converged" else None), str(reasons[0])
+    unit, e = _unit_copy(curve)
+    cfg = (config or SolverConfig()).resolved(unit)
+    params, reasons = _refine_batch(unit, np.ldexp(np.asarray(seed, dtype=float).reshape(1, 4), -e), cfg)
+    return (np.ldexp(params[0], e) if reasons[0] == "converged" else None), str(reasons[0])
+
+
+def _unit_copy(curve: PolyCurve):
+    """(curve scaled by 2^-e, e) with e = frexp(L)[1]: an exact copy of length
+    in [1/2, 1), where no squared or cubed length overflows or underflows."""
+    e = math.frexp(curve.length)[1]
+    return PolyCurve(np.ldexp(curve.vertices, -e), closed=curve.closed), e
 
 
 def _judge(curve: PolyCurve, t: np.ndarray, cfg: SolverConfig):
@@ -286,44 +306,57 @@ def _refine_batch(curve: PolyCurve, seeds: np.ndarray, cfg: SolverConfig):
     seeds this stops, quads that shrink at a flat score.  On the gate curves
     at grid_m 8, 24 and 48 no converging seed of seed_grid cuts its squared
     score by less than 1.1e-3 in one step, 11 times _FTOL.
+
+    A seed also stops once its iterate has broken _judge's winding-once or
+    gap_min rule at _BROKEN_STREAK = 2 iterations in a row: a folded quad
+    heading for the spurious zero p = r, q = s.  Over the gate curves,
+    random Jordan curves and regular polygons at grid_m 8, 24 and 48 this
+    stops no converging seed; at one iteration it would stop four.  Only
+    live seeds are iterated, and a seed's iterate is written back as it stops.
     """
-    K = seeds.shape[0]
     L = curve.length
     target = 0.1 * cfg.residual_tol
 
     t = np.mod(np.asarray(seeds, dtype=float), L)
-    chords, res, ms, tangents = _eval_cells(curve, t)
+    live = np.arange(t.shape[0])  # the seed of each live row
+    x = t.copy()
+    chords, res, ms, tangents = _eval_cells(curve, x)
     norm = _norms(res, ms)
-    lam = np.full(K, 1e-3)
-    active = np.ones(K, dtype=bool)
+    lam = np.full(live.size, 1e-3)
+    streak = np.zeros(live.size, dtype=int)
+    stop = np.zeros(live.size, dtype=bool)
 
     for _ in range(cfg.max_iter):
-        active &= norm > target
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
+        keep = (norm > target) & ~stop
+        if not keep.all():
+            t[live[~keep]] = x[~keep]
+            rows = keep.nonzero()[0]
+            live, x, chords, res, tangents, norm, lam, streak = (
+                a.take(rows, axis=0) for a in (live, x, chords, res, tangents, norm, lam, streak))
+        if live.size == 0:
             break
-        ta, norm0 = t[idx], norm[idx]
-        jac = _residual_jacobian(chords[idx], tangents[idx])
+        n, norm0 = live.size, norm.copy()
+        jac = _residual_jacobian(chords, tangents)
         jt = jac.transpose(0, 2, 1)
         jtj = jt @ jac
-        g = np.einsum("aij,aj->ai", jt, res[idx])
+        g = np.einsum("aij,aj->ai", jt, res)
         diag = np.maximum(np.einsum("aii->ai", jtj), 1e-30)
 
-        ladder = np.cumprod(np.column_stack([lam[idx], np.full((idx.size, 9), 10.0)]), axis=1)
-        pending = np.ones(idx.size, dtype=bool)
-        accepted_step = np.zeros(idx.size)
+        ladder = np.concatenate((lam[:, None], np.full((n, 9), 10.0)), axis=1).cumprod(axis=1)
+        pending = np.ones(n, dtype=bool)
+        accepted_step = np.zeros(n)
         for rungs in (slice(0, 1), slice(1, 10)):
-            p = np.nonzero(pending)[0]
+            p = pending.nonzero()[0]
             if p.size == 0:
                 break
             lams = ladder[p, rungs]
             k = lams.shape[1]
-            damp = jtj[p, None] + lams[..., None, None] * (diag[p, None, :, None] * np.eye(4))
+            damp = jtj[p, None] + lams[..., None, None] * (diag[p, None, :, None] * _EYE4)
             damp = damp.reshape(-1, 4, 4)
-            rhs = -np.repeat(g[p], k, axis=0)
+            rhs = -g[p].repeat(k, axis=0)
             try:
                 delta = np.linalg.solve(damp, rhs[..., None])[..., 0]
-                bad = ~np.all(np.isfinite(delta), axis=1)
+                bad = ~np.isfinite(delta).all(axis=1)
             except np.linalg.LinAlgError:
                 delta, bad = np.zeros_like(rhs), np.zeros(rhs.shape[0], dtype=bool)
                 for j in range(rhs.shape[0]):
@@ -331,25 +364,27 @@ def _refine_batch(curve: PolyCurve, seeds: np.ndarray, cfg: SolverConfig):
                         delta[j] = np.linalg.solve(damp[j], rhs[j])
                     except np.linalg.LinAlgError:
                         bad[j] = True
-            t_new = np.mod(np.repeat(ta[p], k, axis=0) + delta, L)
+            t_new = np.mod(x[p].repeat(k, axis=0) + delta, L)
             chords_new, res_new, ms_new, tangents_new = _eval_cells(curve, t_new)
             norm_new = _norms(res_new, ms_new)
-            improved = ((norm_new < np.repeat(norm[idx[p]], k)) & ~bad).reshape(-1, k)
-            hit = np.any(improved, axis=1)
-            first = np.argmax(improved[hit], axis=1)
-            acc, pick = p[hit], np.nonzero(hit)[0] * k + first
-            rows = idx[acc]
-            t[rows], res[rows] = t_new[pick], res_new[pick]
-            chords[rows], tangents[rows] = chords_new[pick], tangents_new[pick]
-            norm[rows] = norm_new[pick]
-            lam[rows] = np.maximum(ladder[acc, rungs.start + first] / 3.0, 1e-12)
-            accepted_step[acc] = np.max(np.abs(delta[pick]), axis=1)
+            improved = ((norm_new < norm[p].repeat(k)) & ~bad).reshape(-1, k)
+            hit = improved.any(axis=1)
+            first = improved[hit].argmax(axis=1)
+            acc, pick = p[hit], hit.nonzero()[0] * k + first
+            x[acc], res[acc] = t_new[pick], res_new[pick]
+            chords[acc], tangents[acc] = chords_new[pick], tangents_new[pick]
+            norm[acc] = norm_new[pick]
+            lam[acc] = np.maximum(ladder[acc, rungs.start + first] / 3.0, 1e-12)
+            accepted_step[acc] = np.abs(delta[pick]).max(axis=1)
             pending[acc] = False
 
+        gaps = _cyclic_gaps(x, L)
+        streak = np.where(~_winds_once(gaps, L) | (gaps.min(axis=1) < cfg.gap_min), streak + 1, 0)
         # no accepted trial or too small a reduction (inf-safe: no division) stalls; tiny steps stop
-        stalled = pending | (accepted_step < 1e-15 * L) | (norm[idx] > math.sqrt(1.0 - _FTOL) * norm0)
-        active[idx[stalled]] = False
+        stop = (pending | (accepted_step < 1e-15 * L) | (norm > math.sqrt(1.0 - _FTOL) * norm0)
+                | (streak >= _BROKEN_STREAK))
 
+    t[live] = x
     return _judge(curve, t, cfg)
 
 
@@ -428,18 +463,27 @@ def parity_report(solutions: SolutionSet) -> str:
 def _solution_set(curve: PolyCurve, reps: np.ndarray, raw_count: int, note_prefix: str,
                   dedup_tol: float, resolution: dict) -> SolutionSet:
     """Annotate the class representatives reps (k, 4) in one array pass and
-    wrap them with their count, parity note and non-generic flag."""
+    wrap them with their count, parity note and non-generic flag.
+
+    The quads are measured scaled by 2^-e, e = frexp(L)[1], where no squared
+    chord overflows, and their lengths scaled back: exact, so the numbers are
+    those of the quads as given wherever those are finite.  A residual
+    component past the float range is inf."""
     pts = curve.point_at(reps.reshape(-1)).reshape(reps.shape[0], 4, curve.dimension)
-    rows = _measure(pts)
+    e = math.frexp(curve.length)[1]
+    rows = _measure(np.ldexp(pts, -e))
+    sides, diagonals = np.ldexp(rows.sides, e), np.ldexp(rows.diagonals, e)
+    with np.errstate(over="ignore"):
+        residual = np.ldexp(rows.residual, 2 * e)
     solutions = [
         QuadSolution(
             params=params,
             points=pts[i],
-            sides=rows.sides[i],
-            diagonals=rows.diagonals[i],
+            sides=sides[i],
+            diagonals=diagonals[i],
             theta=float(rows.theta[i]),
             open_turning=float(rows.open_turning[i]),
-            residual=rows.residual[i],
+            residual=residual[i],
             residual_norm=float(rows.residual_norm[i]),
             arc_kappa_ok=verify_quad_arc_curvature(curve, params, _ARC_KAPPA_TOL),
         )
@@ -461,12 +505,12 @@ def find_quads(curve: PolyCurve, config: Optional[SolverConfig] = None) -> Solut
     The curve must be closed; a warning (not an error) is issued when it is
     not embedded, since the search itself needs no embeddedness.  Seeding
     through dedup runs on an exact power-of-two copy of length in [1/2, 1),
-    where no squared or cubed length overflows or underflows.
+    where no squared or cubed length overflows or underflows, and the
+    solutions are measured at that scale too (_solution_set).
     """
     if not curve.closed:
         raise ValueError("find_quads requires a closed curve")
-    e = math.frexp(curve.length)[1]
-    unit = PolyCurve(np.ldexp(curve.vertices, -e), closed=True)
+    unit, e = _unit_copy(curve)
     cfg = (config or SolverConfig()).resolved(unit)
     if not curve.is_embedded(0.0):
         warnings.warn("curve is not embedded; results are best-effort")

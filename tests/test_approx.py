@@ -317,6 +317,17 @@ def test_inscribe_never_increases_total_curvature():
         assert ins.total_curvature() <= poly.total_curvature() + 1e-9
 
 
+def test_inscribe_open_curve_keeps_both_ends():
+    t = np.linspace(0.0, math.pi, 91)
+    arc = PolyCurve(np.column_stack([np.cos(t), np.sin(t)]), closed=False)
+    ins = inscribe_polygon(arc, 5)
+    assert not ins.closed
+    assert np.array_equal(ins.vertices[[0, -1]], arc.vertices[[0, -1]])
+    assert np.array_equal(ins.vertices, arc.point_at(np.linspace(0.0, arc.length, 5)))
+    with pytest.raises(ValueError, match="between 2 and"):
+        inscribe_polygon(arc, 1)
+
+
 def test_inscribe_rejects_small_n():
     with pytest.raises(ValueError):
         inscribe_polygon(make_unit_square(), 2)

@@ -366,6 +366,15 @@ def test_frechet_identical(tmp_path, circle_file):
     assert rep["holds"] is True
 
 
+def test_generate_file_copies_a_curve_file(tmp_path, circle_file):
+    out = tmp_path / "copy.json"
+    assert run(["--out", str(out), "generate", "file", "--from-file", circle_file]) == 0
+    assert read_json(out) == read_json(circle_file)
+    assert run(["--out", str(out), "generate", "file"]) == 1
+    assert run(["--out", str(out), "generate", "file", "--from-file", circle_file,
+                "--samples", "8"]) == 1
+
+
 def test_usage_error_exit_code():
     assert run(["no-such-command"]) == 1
     assert run([]) == 1

@@ -96,6 +96,12 @@ def test_rejects_dimension_below_two():
         PolyCurve([[0.0], [1.0], [2.0]], closed=False)
 
 
+def test_repr_names_the_size_kind_dimension_and_length():
+    assert repr(make_unit_square()) == "PolyCurve(4 vertices, closed, n=2, L=4)"
+    chain = PolyCurve([[0, 0, 0], [3, 4, 0]], closed=False)
+    assert repr(chain) == "PolyCurve(2 vertices, open, n=3, L=5)"
+
+
 def test_json_roundtrip():
     sq = make_unit_square()
     back = PolyCurve.from_json_dict(sq.to_json_dict())

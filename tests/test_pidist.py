@@ -623,6 +623,14 @@ def test_arc_curvature_straight_edge_quad_fails():
     assert not verify_quad_arc_curvature(sq, [0.1, 0.2, 0.3, 0.35], 1e-6)
 
 
+def test_arc_curvature_on_an_open_curve_takes_the_arc_from_t1_to_t4():
+    # the open chain around three sides of the unit square turns by pi at
+    # its two interior corners, and by pi/2 on the arc that holds one of them
+    chain = PolyCurve([[0, 0], [1, 0], [1, 1], [0, 1]], closed=False)
+    assert verify_quad_arc_curvature(chain, [0.0, 1.0, 2.0, 3.0], 1e-6)
+    assert not verify_quad_arc_curvature(chain, [0.5, 1.0, 1.5, 1.9], 1e-6)
+
+
 def test_arc_curvature_rejects_unordered_params():
     sq = make_unit_square()
     with pytest.raises(ValueError, match="cyclically ordered"):
@@ -666,3 +674,14 @@ def test_bound_report_unbounded_all_hold():
     rep = sidelength_bound_report(arc, [_FakeSolution([0.01] * 4)], pid)
     assert rep["all_hold"]
     assert pid.unbounded
+
+
+def test_bound_report_literal_open_is_meaningful():
+    t = np.linspace(0.0, 1.5 * math.pi, 60)
+    arc = PolyCurve(np.column_stack([np.cos(t), np.sin(t)]), closed=False)
+    pid = pi_distance(arc, mode="literal", step=0.05)
+    assert not pid.unbounded
+    rep = sidelength_bound_report(arc, [_FakeSolution([2.0] * 4), _FakeSolution([0.01] * 4)], pid)
+    assert rep["note"] == "literal mode on an open curve: the bound is meaningful"
+    assert [e["holds"] for e in rep["entries"]] == [True, False]
+    assert not rep["all_hold"]

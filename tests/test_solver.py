@@ -500,6 +500,51 @@ def test_ftol_stop_property_keeps_the_solution_sets(seed, m):
     _assert_same_classes(new, old, curve.length, (seed, m), rel=cfg.residual_tol)
 
 
+@pytest.mark.parametrize("name, converged, bound", [
+    ("square", 22, 10), ("triangle345", 9, 10), ("jordan11", 16, 20)])
+def test_broken_order_stop_ends_the_refinement_early(corpus, monkeypatch, name, converged, bound):
+    # folded seeds that head for the spurious zero p = r, q = s kept these
+    # loops running for 25, 25 and 26 iterations after the last converging
+    # seed had stopped at 9, 9 and 19
+    curve = corpus[name]
+    cfg = SolverConfig(grid_m=24).resolved(curve)
+    seeds = seed_grid(curve, cfg)
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "_BROKEN_STREAK", math.inf)
+        unstopped = solver._refine_batch(curve, seeds, cfg)
+    iterations = []
+    real = solver._residual_jacobian
+    monkeypatch.setattr(solver, "_residual_jacobian",
+                        lambda chords, tangents: iterations.append(len(chords)) or real(chords, tangents))
+    params, reasons = solver._refine_batch(curve, seeds, cfg)
+    assert len(iterations) <= bound
+    done = reasons == "converged"
+    assert np.sum(done) == converged
+    assert np.array_equal(done, unstopped[1] == "converged")
+    assert np.array_equal(params[done], unstopped[0][done])
+
+
+def test_broken_order_stop_keeps_the_gate_outputs(corpus, monkeypatch):
+    for name, curve in _gate_curves(corpus).items():
+        for m in (8, 24, 48):
+            cfg = SolverConfig(grid_m=m)
+            new = json.dumps(_find_quietly(curve, cfg).to_json_dict())
+            with monkeypatch.context() as mp:
+                mp.setattr(solver, "_BROKEN_STREAK", math.inf)  # no seed stops for its order
+                assert json.dumps(_find_quietly(curve, cfg).to_json_dict()) == new, (name, m)
+
+
+@given(st.integers(0, 2**16), st.sampled_from([8, 24]))
+def test_broken_order_stop_property_keeps_the_solution_sets(seed, m):
+    curve = make_random_jordan(64, seed=seed)
+    cfg = SolverConfig(grid_m=m)
+    new = _find_quietly(curve, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_BROKEN_STREAK", math.inf)
+        old = _find_quietly(curve, cfg)
+    _assert_same_classes(new, old, curve.length, (seed, m), rel=cfg.residual_tol)
+
+
 def test_ladder_falls_back_to_one_solve_per_row(corpus, monkeypatch):
     real = np.linalg.solve
 
@@ -1041,6 +1086,44 @@ def test_solutions_scale_with_a_power_of_two_copy(name, k):
         assert np.array_equal(s.params, np.ldexp(b.params, k)), k
         assert np.array_equal(s.points, np.ldexp(b.points, k)), k
         assert s.arc_kappa_ok == b.arc_kappa_ok, k
+
+
+@given(st.integers(-500, 480))
+def test_refine_scales_with_a_power_of_two_copy(k):
+    # refine runs on the unit copy that find_quads searches; on the curve as
+    # given it returned "diverged" at 2^-100, 2^350 and 2^400 from this seed
+    curve = make_ellipse(2.0, 1.0, 64)
+    seed = find_quads(curve).solutions[0].params + 0.01 * curve.length
+    base, reason = refine(curve, seed)
+    assert reason == "converged"
+    params, reason = refine(PolyCurve(np.ldexp(curve.vertices, k), closed=True), np.ldexp(seed, k))
+    assert reason == "converged", k
+    assert np.array_equal(params, np.ldexp(base, k)), k
+
+
+@pytest.mark.parametrize("k", [511, 512, 1000])
+def test_solutions_are_measured_where_no_squared_chord_overflows(k):
+    # at 2^511 and 2^512 the squared chords of the quads overflow, and theta
+    # came out NaN with RuntimeWarnings; at 2^1000 the edge lengths
+    # themselves overflow, and the curve is refused before any search
+    curve = make_ellipse(2.0, 1.0, 64)
+    vertices = np.ldexp(curve.vertices, k)
+    if k == 1000:
+        with pytest.raises(ValueError, match="overflow"):
+            PolyCurve(vertices, closed=True)
+        return
+    base = find_quads(curve)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sol = find_quads(PolyCurve(vertices, closed=True))
+    assert len(sol.solutions) == len(base.solutions) == 1
+    for s, b in zip(sol.solutions, base.solutions):
+        assert math.isfinite(s.theta) and s.theta == b.theta
+        assert (s.open_turning, s.residual_norm) == (b.open_turning, b.residual_norm)
+        assert np.array_equal(s.sides, np.ldexp(b.sides, k))
+        assert np.array_equal(s.diagonals, np.ldexp(b.diagonals, k))
+        assert np.array_equal(s.residual, np.ldexp(b.residual, 2 * k))
+        assert s.arc_kappa_ok
 
 
 def test_config_validation():
