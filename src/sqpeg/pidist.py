@@ -416,28 +416,33 @@ def pi_distance(curve: PolyCurve, mode: str = "capped", cap: Optional[float] = N
                             cap=cap_out, resolution=float(step))
 
 
-def verify_quad_arc_curvature(curve: PolyCurve, params, tol: float) -> bool:
+def verify_quad_arc_curvature(curve: PolyCurve, params, tol: float):
     """True iff the directed arc t1 -> t4 (through t2 and t3) of a cyclically
     ordered parameter 4-tuple carries curvature mass at least pi - tol.
 
     Any square-like quadrilateral inscribed in an arc forces this much
     turning, so failures flag candidates that are not genuine inscriptions.
+    params is one tuple (4,), answered by a bool, or rows of tuples (k, 4),
+    answered by a bool array (k,) in one pass; a row that is not cyclically
+    ordered (on an open curve: not increasing) raises for the whole batch.
     """
     t = np.asarray(params, dtype=float)
-    if t.shape != (4,):
-        raise ValueError("params must be four arclength values")
+    if t.ndim not in (1, 2) or t.shape[-1] != 4:
+        raise ValueError("params must be four arclength values or rows of them")
+    rows = t.reshape(-1, 4)
     L = curve.length
     if curve.closed:
-        gaps = _cyclic_gaps(t, L)
-        if not _winds_once(gaps, L):
+        gaps = _cyclic_gaps(rows, L)
+        if not _winds_once(gaps, L).all():
             raise ValueError("params are not cyclically ordered")
-        start = float(np.mod(t[0], L))
-        kappa = curve.subarc_curvature(start, start + float(np.sum(gaps[:3])))
+        start = np.mod(rows[:, 0], L)
+        kappa = curve.subarc_curvature(start, start + np.sum(gaps[:, :3], axis=1))
     else:
-        if np.any(np.diff(t) <= 0.0):
+        if np.any(np.diff(rows, axis=1) <= 0.0):
             raise ValueError("params are not cyclically ordered")
-        kappa = curve.subarc_curvature(float(t[0]), float(t[3]))
-    return kappa >= math.pi - tol
+        kappa = curve.subarc_curvature(rows[:, 0], rows[:, 3])
+    ok = kappa >= math.pi - tol
+    return bool(ok[0]) if t.ndim == 1 else ok
 
 
 def sidelength_bound_report(curve: PolyCurve, solutions, pid: PiDistanceResult) -> dict:

@@ -36,13 +36,8 @@ def _sides_and_residuals(pts):
     chords = pts[:, _HEAD] - pts[:, _TAIL]
     chord_sq = np.einsum("kij,kij->ki", chords, chords)
     sides = np.sqrt(chord_sq[:, :4])
-    return (chords, sides, chord_sq[:, 4:]) + _residuals_of_chords(chord_sq, sides)
-
-
-def _residuals_of_chords(chord_sq, sides) -> tuple[np.ndarray, np.ndarray]:
-    """Residual (k, 4) and mean side (k,) of quads with squared chords
-    (k, 6) and side lengths (k, 4)."""
-    return chord_sq[:, _PLUS] - chord_sq[:, _MINUS], sides.sum(axis=1) / 4.0
+    res = chord_sq[:, _PLUS] - chord_sq[:, _MINUS]
+    return chords, sides, chord_sq[:, 4:], res, sides.sum(axis=1) / 4.0
 
 
 def _residual_jacobian(chords, tangents) -> np.ndarray:
@@ -112,6 +107,20 @@ def _measure(pts) -> _QuadRows:
     )
 
 
+def _measure_at(pts, e: int) -> tuple[_QuadRows, _QuadRows]:
+    """(_measure of the quads pts (k, 4, n) scaled by 2^-e, the same rows
+    with their lengths scaled back: sides, diagonals and mean side by 2^e,
+    the residual by 2^2e).  For an e where the scaled chords are near 1, no
+    squared chord overflows or underflows; the scaling is exact, so the rows
+    are those of the quads as given wherever those are finite.  A residual
+    component past the float range is inf."""
+    unit = _measure(np.ldexp(pts, -e))
+    with np.errstate(over="ignore"):
+        residual = np.ldexp(unit.residual, 2 * e)
+    return unit, unit._replace(sides=np.ldexp(unit.sides, e), diagonals=np.ldexp(unit.diagonals, e),
+                               mean_side=np.ldexp(unit.mean_side, e), residual=residual)
+
+
 def _defect_by_projection(tri, other) -> float:
     u = tri[1] - tri[0]
     w = tri[2] - tri[0]
@@ -164,9 +173,20 @@ class Quad:
     # -- elementary measurements ------------------------------------------
 
     @cached_property
+    def _scale(self) -> int:
+        """e with every coordinate under 2^e in magnitude: measured at 2^-e,
+        no squared chord of the quad overflows or underflows."""
+        return math.frexp(float(np.max(np.abs(self.points))))[1]
+
+    @cached_property
+    def _measured(self) -> tuple[_QuadRows, _QuadRows]:
+        """The batched kernel's measurements of this one quad (k = 1) at
+        unit scale and as given (_measure_at)."""
+        return _measure_at(self.points[None], self._scale)
+
+    @property
     def _rows(self) -> _QuadRows:
-        """The batched kernel's measurements of this one quad (k = 1)."""
-        return _measure(self.points[None])
+        return self._measured[1]
 
     def side_lengths(self) -> np.ndarray:
         """|pq|, |qr|, |rs|, |sp|."""
@@ -192,8 +212,9 @@ class Quad:
     def is_square_like(self, tol: float) -> bool:
         """True iff max |residual| <= tol * mean squared side."""
         _check_nonnegative("tol", tol)
-        mean_sq = float(np.mean(self.side_lengths() ** 2))
-        return bool(np.max(np.abs(self.residual())) <= tol * mean_sq)
+        unit = self._measured[0]  # the same comparison at unit scale, where nothing overflows
+        mean_sq = float(np.mean(unit.sides[0] ** 2))
+        return bool(np.max(np.abs(unit.residual[0])) <= tol * mean_sq)
 
     def theta(self, tol: float = 1e-9) -> float:
         """Apex half-angle: arcsin(mean diagonal / (2 * mean side)).
@@ -227,12 +248,13 @@ class Quad:
         """
         if self.p.shape[0] == 2:
             return 0.0
-        tri = self.points[_TRIPLES]
+        pts = np.ldexp(self.points, -self._scale)  # exact; no product of four lengths overflows
+        tri = pts[_TRIPLES]
         u = tri[:, 1] - tri[:, 0]
         w = tri[:, 2] - tri[:, 0]
         uu, ww, uw = (np.einsum("ij,ij->i", x, y) for x, y in ((u, u), (w, w), (u, w)))
         k = int(np.argmax(np.maximum(uu * ww - uw * uw, 0.0)))  # row k omits point k
-        return _defect_by_projection(tri[k], self.points[k])
+        return math.ldexp(_defect_by_projection(tri[k], pts[k]), self._scale)
 
     def is_planar_square(self, tol: float) -> bool:
         """Square-like, flat, and with theta at the planar extreme pi/4."""

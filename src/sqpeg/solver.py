@@ -8,6 +8,7 @@ of the quadrilateral (cyclic shifts and reversal).
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import numbers
@@ -20,7 +21,7 @@ import numpy as np
 
 from .curve import PolyCurve, _check_positive, _cyclic_gaps, _winds_once
 from .pidist import verify_quad_arc_curvature
-from .quad import (_HEAD, _TAIL, _measure, _norms, _residual_jacobian, _residuals_of_chords,
+from .quad import (_HEAD, _MINUS, _PLUS, _TAIL, _measure_at, _norms, _residual_jacobian,
                    _sides_and_residuals, _smooth_norms)
 
 __all__ = [
@@ -36,9 +37,10 @@ __all__ = [
 
 _log = logging.getLogger(__name__)
 _ARC_KAPPA_TOL = 1e-6
-# largest accepted grid_m: seeding holds the C(grid_m, 4) grid tuples and
-# their scores, scored in blocks; seed_grid peaks at about 47 MB at 64
-# (tracemalloc, trefoil512), and find_quads at 80 MB of resident memory
+# largest accepted grid_m: seeding holds the C(grid_m, 4) grid tuples (the
+# _grid_tables, 10.2 MB at 64) and their scores, scored in blocks; seed_grid
+# peaks at about 28 MB at 64 from a cold cache (tracemalloc, trefoil512), and
+# find_quads at 61 MB of resident memory
 _MAX_GRID_M = 64
 # the 8 relabelings of a quadrilateral: 4 cyclic shifts, then the same of its
 # reversal; row r of params[..., _RELABEL] is image r
@@ -86,6 +88,11 @@ class _Resolved(SolverConfig):
     dedup_tol: float = 0.0
     gap_min: float = 0.0
     min_side: float = 0.0
+
+
+def _check_closed(name: str, curve: PolyCurve) -> None:
+    if not curve.closed:
+        raise ValueError(f"{name} requires a closed curve")
 
 
 def _check_integer(name: str, value) -> None:
@@ -159,16 +166,36 @@ def _eval_batch(curve: PolyCurve, params) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def _combinations4(m: int) -> np.ndarray:
-    """All sorted 4-subsets of range(m), (C(m, 4), 4), in lexicographic
-    order (the order of itertools.combinations)."""
-    combos = np.arange(m)[:, None]
-    for _ in range(3):
-        counts = m - 1 - combos[:, -1]
-        starts = np.cumsum(counts) - counts
-        offsets = np.arange(int(np.sum(counts))) - np.repeat(starts, counts)
-        nxt = np.repeat(combos[:, -1] + 1, counts) + offsets
-        combos = np.column_stack([np.repeat(combos, counts, axis=0), nxt])
+    """All sorted 4-subsets of range(m) as uint8 (C(m, 4), 4), in
+    lexicographic order (the order of itertools.combinations).
+
+    The k-subsets that start at a are a followed by the (k-1)-subsets of
+    range(a + 1, m), which are the last C(m-1-a, k-1) rows of the
+    (k-1)-subsets of range(m); so every level is built from small blocks."""
+    combos = np.arange(m, dtype=np.uint8)[:, None]
+    for k in (2, 3, 4):
+        counts = [math.comb(m - 1 - a, k - 1) for a in range(m - k + 1)]
+        combos = np.concatenate([np.column_stack((np.full(n, a, dtype=np.uint8), combos[-n:]))
+                                 for a, n in enumerate(counts)])
     return combos
+
+
+@functools.lru_cache(maxsize=2)
+def _grid_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(the sorted 4-subsets of range(m), uint8 (C(m, 4), 4); the flat index
+    tail * m + head into an m x m table of the subset's six chords, int16
+    (6, C(m, 4)), so that a block of tuples gathers each chord contiguously).
+
+    Both depend on m alone and are read-only; the chord rows are filled
+    block by block, so no full-size intp array exists.  At m = 64 they keep
+    10.2 MB, at m = 24 0.17 MB."""
+    combos = _combinations4(m)
+    flat = np.empty((6, combos.shape[0]), dtype=np.int16)
+    for lo in range(0, combos.shape[0], _BLOCK):
+        c = combos[lo:lo + _BLOCK].astype(np.int16)
+        flat[:, lo:lo + _BLOCK] = (c[:, _TAIL] * m + c[:, _HEAD]).T
+    combos.flags.writeable = flat.flags.writeable = False
+    return combos, flat
 
 
 def _grid_local_minima(curve: PolyCurve, m: int, cfg: SolverConfig, score):
@@ -177,11 +204,11 @@ def _grid_local_minima(curve: PolyCurve, m: int, cfg: SolverConfig, score):
     in lexicographic order.
 
     Every sorted index 4-subset is scored, block by block, from one table of
-    the squared chords between grid points; tuples with mean side under
-    min_side score inf.  A tuple is kept when its score is finite and no
-    larger than any of its 8 axis neighbours (index a moved by +-1); a
-    neighbour that is not a sorted 4-subset of range(m) does not count.
-    Tuples with a cyclic gap under gap_min are then dropped.
+    the squared chords between grid points (gathered through _grid_tables);
+    tuples with mean side under min_side score inf.  A tuple is kept when its
+    score is finite and no larger than any of its 8 axis neighbours (index a
+    moved by +-1); a neighbour that is not a sorted 4-subset of range(m)
+    does not count.  Tuples with a cyclic gap under gap_min are then dropped.
 
     A tuple's rank in lexicographic order is its row, and its neighbours
     along the last index are the rows next to it: those two are compared for
@@ -189,7 +216,7 @@ def _grid_local_minima(curve: PolyCurve, m: int, cfg: SolverConfig, score):
     """
     L = curve.length
     grid = np.arange(m) * (L / m)
-    combos = _combinations4(m)
+    combos, flat = _grid_tables(m)
     pts = curve.point_at(grid)
     diff = pts[None, :, :] - pts[:, None, :]
     chord_sq = np.einsum("ijd,ijd->ij", diff, diff).ravel()  # |pts[j] - pts[i]|^2 at i * m + j
@@ -197,9 +224,9 @@ def _grid_local_minima(curve: PolyCurve, m: int, cfg: SolverConfig, score):
     n = combos.shape[0]
     scores = np.empty(n)
     for lo in range(0, n, _BLOCK):
-        c = combos[lo:lo + _BLOCK]
-        flat = c[:, _TAIL] * m + c[:, _HEAD]
-        res, mean_side = _residuals_of_chords(chord_sq.take(flat), chord.take(flat[:, :4]))
+        rows = flat[:, lo:lo + _BLOCK]
+        cs = chord_sq.take(rows)
+        res, mean_side = (cs[_PLUS] - cs[_MINUS]).T, chord.take(rows[:4]).sum(axis=0) / 4.0
         scores[lo:lo + _BLOCK] = np.where(mean_side >= cfg.min_side, score(res, mean_side), np.inf)
     last = combos[:, 3]
     keep = np.isfinite(scores)
@@ -209,7 +236,7 @@ def _grid_local_minima(curve: PolyCurve, m: int, cfg: SolverConfig, score):
     # subtracts C(m-1-c_a, 3-a)
     binom = np.array([[math.comb(x, 3 - a) for a in range(3)] for x in range(m)])
     rank = np.flatnonzero(keep)
-    c, own = combos[rank], scores[rank]
+    c, own = combos[rank].astype(np.intp), scores[rank]
     keep = np.ones(rank.size, dtype=bool)
     for a in range(3):
         up = rank + binom[np.maximum(m - 2 - c[:, a], 0), a]
@@ -237,6 +264,7 @@ def seed_grid(curve: PolyCurve, config: Optional[SolverConfig] = None) -> np.nda
     the candidates of brute_force_oracle, which keeps the largest component;
     seeding has no cutoff.
     """
+    _check_closed("seed_grid", curve)
     cfg = (config or SolverConfig()).resolved(curve)
     return _grid_local_minima(curve, cfg.grid_m, cfg, _smooth_norms)[0]
 
@@ -257,11 +285,16 @@ def refine(curve: PolyCurve, seed, config: Optional[SolverConfig] = None):
     less than _FTOL = 1e-4 of itself, or once its iterate has left the
     cyclic order at two iterations in a row (see _refine_batch).  It runs
     on find_quads' power-of-two copy of the curve, so the params of a curve
-    scaled by 2^k are its own times 2^k.
+    scaled by 2^k are its own times 2^k.  The curve must be closed and the
+    seed four finite parameters.
     """
+    _check_closed("refine", curve)
+    seed = np.asarray(seed, dtype=float)
+    if seed.shape != (4,) or not np.isfinite(seed).all():
+        raise ValueError("seed must be four finite arclength values")
     unit, e = _unit_copy(curve)
     cfg = (config or SolverConfig()).resolved(unit)
-    params, reasons = _refine_batch(unit, np.ldexp(np.asarray(seed, dtype=float).reshape(1, 4), -e), cfg)
+    params, reasons = _refine_batch(unit, np.ldexp(seed[None], -e), cfg)
     return (np.ldexp(params[0], e) if reasons[0] == "converged" else None), str(reasons[0])
 
 
@@ -287,6 +320,23 @@ def _judge(curve: PolyCurve, t: np.ndarray, cfg: SolverConfig):
          np.min(gaps, axis=1) < cfg.gap_min, ms < cfg.min_side],
         ["diverged", "ordering_broken", "collapsed", "small_side"], "converged")
     return params, reasons
+
+
+def _solve(damp: np.ndarray, rhs: np.ndarray):
+    """(solutions (k, 4) of the systems damp (k, 4, 4) x = rhs (k, 4), rows
+    with no finite solution (k,)): one batched solve, or one by one when a
+    system is singular (those rows 0 and bad)."""
+    try:
+        delta = np.linalg.solve(damp, rhs[..., None])[..., 0]
+        return delta, ~np.isfinite(delta).all(axis=1)
+    except np.linalg.LinAlgError:
+        delta, bad = np.zeros_like(rhs), np.zeros(rhs.shape[0], dtype=bool)
+        for j in range(rhs.shape[0]):
+            try:
+                delta[j] = np.linalg.solve(damp[j], rhs[j])
+            except np.linalg.LinAlgError:
+                bad[j] = True
+        return delta, bad
 
 
 def _refine_batch(curve: PolyCurve, seeds: np.ndarray, cfg: SolverConfig):
@@ -335,46 +385,45 @@ def _refine_batch(curve: PolyCurve, seeds: np.ndarray, cfg: SolverConfig):
                 a.take(rows, axis=0) for a in (live, x, chords, res, tangents, norm, lam, streak))
         if live.size == 0:
             break
-        n, norm0 = live.size, norm.copy()
+        norm0 = norm  # norm is rebound below before any write in place
         jac = _residual_jacobian(chords, tangents)
         jt = jac.transpose(0, 2, 1)
         jtj = jt @ jac
         g = np.einsum("aij,aj->ai", jt, res)
         diag = np.maximum(np.einsum("aii->ai", jtj), 1e-30)
 
-        ladder = np.concatenate((lam[:, None], np.full((n, 9), 10.0)), axis=1).cumprod(axis=1)
-        pending = np.ones(n, dtype=bool)
-        accepted_step = np.zeros(n)
-        for rungs in (slice(0, 1), slice(1, 10)):
-            p = pending.nonzero()[0]
-            if p.size == 0:
-                break
-            lams = ladder[p, rungs]
-            k = lams.shape[1]
-            damp = jtj[p, None] + lams[..., None, None] * (diag[p, None, :, None] * _EYE4)
-            damp = damp.reshape(-1, 4, 4)
-            rhs = -g[p].repeat(k, axis=0)
-            try:
-                delta = np.linalg.solve(damp, rhs[..., None])[..., 0]
-                bad = ~np.isfinite(delta).all(axis=1)
-            except np.linalg.LinAlgError:
-                delta, bad = np.zeros_like(rhs), np.zeros(rhs.shape[0], dtype=bool)
-                for j in range(rhs.shape[0]):
-                    try:
-                        delta[j] = np.linalg.solve(damp[j], rhs[j])
-                    except np.linalg.LinAlgError:
-                        bad[j] = True
-            t_new = np.mod(x[p].repeat(k, axis=0) + delta, L)
+        # rung 0 for every live seed on the live arrays, accepted by np.where
+        delta, bad = _solve(jtj + lam[:, None, None] * (diag[:, :, None] * _EYE4), -g)
+        t_new = np.mod(x + delta, L)
+        chords_new, res_new, ms_new, tangents_new = _eval_cells(curve, t_new)
+        norm_new = _norms(res_new, ms_new)
+        hit = (norm_new < norm) & ~bad
+        x, res = np.where(hit[:, None], t_new, x), np.where(hit[:, None], res_new, res)
+        chords = np.where(hit[:, None, None], chords_new, chords)
+        tangents = np.where(hit[:, None, None], tangents_new, tangents)
+        norm = np.where(hit, norm_new, norm)
+        accepted_step = np.where(hit, np.abs(delta).max(axis=1), 0.0)
+        lam = np.where(hit, np.maximum(lam / 3.0, 1e-12), lam)
+        pending = ~hit
+
+        # rungs 1-9 at once for the seeds rung 0 did not improve
+        p = pending.nonzero()[0]
+        if p.size:
+            ladder = np.concatenate((lam[p, None], np.full((p.size, 9), 10.0)), axis=1)
+            ladder = ladder.cumprod(axis=1)[:, 1:]
+            damp = jtj[p, None] + ladder[..., None, None] * (diag[p, None, :, None] * _EYE4)
+            delta, bad = _solve(damp.reshape(-1, 4, 4), -g[p].repeat(9, axis=0))
+            t_new = np.mod(x[p].repeat(9, axis=0) + delta, L)
             chords_new, res_new, ms_new, tangents_new = _eval_cells(curve, t_new)
             norm_new = _norms(res_new, ms_new)
-            improved = ((norm_new < norm[p].repeat(k)) & ~bad).reshape(-1, k)
+            improved = ((norm_new < norm[p].repeat(9)) & ~bad).reshape(-1, 9)
             hit = improved.any(axis=1)
             first = improved[hit].argmax(axis=1)
-            acc, pick = p[hit], hit.nonzero()[0] * k + first
+            acc, pick = p[hit], hit.nonzero()[0] * 9 + first
             x[acc], res[acc] = t_new[pick], res_new[pick]
             chords[acc], tangents[acc] = chords_new[pick], tangents_new[pick]
             norm[acc] = norm_new[pick]
-            lam[acc] = np.maximum(ladder[acc, rungs.start + first] / 3.0, 1e-12)
+            lam[acc] = np.maximum(ladder[hit, first] / 3.0, 1e-12)
             accepted_step[acc] = np.abs(delta[pick]).max(axis=1)
             pending[acc] = False
 
@@ -400,6 +449,7 @@ def _image_distances(cands: np.ndarray, b: np.ndarray, L: float) -> np.ndarray:
 
 def symmetry_distance(a, b, L: float) -> float:
     """min over the 8 relabeling images of the max cyclic parameter distance."""
+    _check_positive("L", L)
     a = np.asarray(a, dtype=float).reshape(1, 4)
     return float(_image_distances(a, np.asarray(b, dtype=float), L)[0])
 
@@ -462,30 +512,27 @@ def parity_report(solutions: SolutionSet) -> str:
 
 def _solution_set(curve: PolyCurve, reps: np.ndarray, raw_count: int, note_prefix: str,
                   dedup_tol: float, resolution: dict) -> SolutionSet:
-    """Annotate the class representatives reps (k, 4) in one array pass and
-    wrap them with their count, parity note and non-generic flag.
+    """Annotate the class representatives reps (k, 4) in one array pass
+    (their arc curvature in one verify_quad_arc_curvature call) and wrap
+    them with their count, parity note and non-generic flag.
 
     The quads are measured scaled by 2^-e, e = frexp(L)[1], where no squared
-    chord overflows, and their lengths scaled back: exact, so the numbers are
-    those of the quads as given wherever those are finite.  A residual
-    component past the float range is inf."""
+    chord overflows (quad._measure_at): exact, so the numbers are those of
+    the quads as given wherever those are finite."""
     pts = curve.point_at(reps.reshape(-1)).reshape(reps.shape[0], 4, curve.dimension)
-    e = math.frexp(curve.length)[1]
-    rows = _measure(np.ldexp(pts, -e))
-    sides, diagonals = np.ldexp(rows.sides, e), np.ldexp(rows.diagonals, e)
-    with np.errstate(over="ignore"):
-        residual = np.ldexp(rows.residual, 2 * e)
+    rows = _measure_at(pts, math.frexp(curve.length)[1])[1]
+    arc_kappa_ok = verify_quad_arc_curvature(curve, reps, _ARC_KAPPA_TOL)
     solutions = [
         QuadSolution(
             params=params,
             points=pts[i],
-            sides=sides[i],
-            diagonals=diagonals[i],
+            sides=rows.sides[i],
+            diagonals=rows.diagonals[i],
             theta=float(rows.theta[i]),
             open_turning=float(rows.open_turning[i]),
-            residual=residual[i],
+            residual=rows.residual[i],
             residual_norm=float(rows.residual_norm[i]),
-            arc_kappa_ok=verify_quad_arc_curvature(curve, params, _ARC_KAPPA_TOL),
+            arc_kappa_ok=bool(arc_kappa_ok[i]),
         )
         for i, params in enumerate(reps)
     ]
@@ -508,8 +555,7 @@ def find_quads(curve: PolyCurve, config: Optional[SolverConfig] = None) -> Solut
     where no squared or cubed length overflows or underflows, and the
     solutions are measured at that scale too (_solution_set).
     """
-    if not curve.closed:
-        raise ValueError("find_quads requires a closed curve")
+    _check_closed("find_quads", curve)
     unit, e = _unit_copy(curve)
     cfg = (config or SolverConfig()).resolved(unit)
     if not curve.is_embedded(0.0):
@@ -549,6 +595,7 @@ def brute_force_oracle(curve: PolyCurve, m: int = 24, tol: float = 0.3) -> Solut
     residual up to ~(L/m)/side, so tol must stay loose at coarse m; the
     default suits m = 24 on curves whose quadrilaterals span the curve.
     """
+    _check_closed("brute_force_oracle", curve)
     _check_integer("m", m)
     _check_positive("tol", tol)
     if not 8 <= m <= 48:

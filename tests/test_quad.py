@@ -1,6 +1,7 @@
 """Tests for quadrilateral measurements and the square-like generator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -273,3 +274,36 @@ def test_single_quad_measures_are_rows_of_the_batched_kernel():
     res, mean_side = quad._residuals_of_points(pts)
     assert res.tolist() == rows.residual.tolist()
     assert mean_side.tolist() == rows.mean_side.tolist()
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-200])
+def test_quad_measures_where_no_squared_chord_overflows(scale):
+    # the squared chords of these squares overflow (1e160) or underflow
+    # (1e-160, 1e-200); the quad is measured at a power-of-two unit scale
+    square = scale * np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        q = Quad.from_points(square)
+        assert q.residual_norm() == 0.0
+        assert q.is_square_like(0.0)
+        assert q.planarity_defect() == 0.0
+        assert q.theta() == pytest.approx(quad.QUARTER_PI, abs=1e-15)
+        assert q.is_planar_square(1e-9)
+        assert q.side_lengths().tolist() == [scale] * 4
+
+
+def test_quad_measures_scale_exactly_with_powers_of_two():
+    rng = np.random.default_rng(21)
+    for pts in rng.standard_normal((6, 4, 3)):
+        base = Quad.from_points(pts)
+        for k in (-400, -100, 3, 100, 400):
+            q = Quad.from_points(np.ldexp(pts, k))
+            assert np.array_equal(q.side_lengths(), np.ldexp(base.side_lengths(), k))
+            assert np.array_equal(q.diagonal_lengths(), np.ldexp(base.diagonal_lengths(), k))
+            assert np.array_equal(q.residual(), np.ldexp(base.residual(), 2 * k))
+            assert q.planarity_defect() == math.ldexp(base.planarity_defect(), k)
+            assert q.residual_norm() == base.residual_norm()
+            assert q.open_turning() == base.open_turning()
+            assert q.metrics().theta == base.metrics().theta or math.isnan(base.metrics().theta)
+            for tol in (0.1, 1.0, 10.0):
+                assert q.is_square_like(tol) == base.is_square_like(tol)

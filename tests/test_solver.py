@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from sqpeg import solver
 from sqpeg.curve import PolyCurve
+from sqpeg.pidist import verify_quad_arc_curvature
 from sqpeg.generators import (
     make_circle,
     make_ellipse,
@@ -24,7 +25,7 @@ from sqpeg.generators import (
     make_trefoil,
     make_unit_square,
 )
-from sqpeg.quad import Quad, _residual_jacobian, _residuals_of_points
+from sqpeg.quad import _HEAD, _TAIL, Quad, _residual_jacobian, _residuals_of_points
 from sqpeg.solver import (
     SolverConfig,
     brute_force_oracle,
@@ -158,6 +159,59 @@ def test_seed_grid_memory_at_the_largest_grid():
         tracemalloc.stop()
     assert len(seeds) > 0
     assert peak < 80 * 10**6
+
+
+@pytest.mark.parametrize("m", [8, 9, 24, 33, 64])
+def test_grid_tables_equal_a_fresh_build(m):
+    combos, flat = solver._grid_tables(m)
+    fresh = solver._combinations4(m)
+    assert combos.dtype == np.uint8 and np.array_equal(combos, fresh)
+    c = fresh.astype(np.intp)
+    assert flat.dtype == np.int16 and flat.shape == (6, math.comb(m, 4))
+    assert np.array_equal(flat, (c[:, _TAIL] * m + c[:, _HEAD]).T)
+
+
+def test_grid_tables_are_read_only():
+    for table in solver._grid_tables(8):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+
+
+def test_grid_tables_keep_bounded_bytes_at_the_largest_grid():
+    curve = make_trefoil(512)
+    m = solver._MAX_GRID_M
+    solver._grid_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        seeds = seed_grid(curve, SolverConfig(grid_m=m))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(seeds) > 0
+    # uint8 subsets (4 bytes a tuple) and int16 chord rows (12 bytes a tuple)
+    # stay; everything else seeding allocates is freed
+    assert 16 * math.comb(m, 4) <= kept < 16 * math.comb(m, 4) + 10**6
+    assert peak < 40 * 10**6
+
+
+def test_grid_tables_cache_cannot_change_answers(corpus):
+    curves = _gate_curves(corpus)
+
+    def outputs(m):
+        return {name: json.dumps(_find_quietly(c, SolverConfig(grid_m=m)).to_json_dict())
+                for name, c in curves.items()}
+
+    sizes = (8, 24, 48)
+    for m in sizes:
+        solver._grid_tables.cache_clear()
+        cold = outputs(m)
+        for other in sizes:  # the cache holds two sizes: this evicts m's tables
+            if other != m:
+                seed_grid(curves["square"], SolverConfig(grid_m=other))
+        assert outputs(m) == cold, m
+        hits = solver._grid_tables.cache_info().hits
+        assert outputs(m) == cold, m
+        assert solver._grid_tables.cache_info().hits == hits + len(curves)
 
 
 @pytest.mark.parametrize("name", ["ellipse512", "trefoil512"])
@@ -645,6 +699,31 @@ def test_find_quads_requires_closed_curve():
     chain = PolyCurve([[0, 0], [1, 0], [1, 1]], closed=False)
     with pytest.raises(ValueError, match="closed"):
         find_quads(chain)
+    # every solver entry point refuses an open curve the same way
+    chain = PolyCurve([[0, 0], [1, 0], [1, 1], [0, 1]], closed=False)
+    calls = {"find_quads": lambda: find_quads(chain), "seed_grid": lambda: seed_grid(chain),
+             "refine": lambda: refine(chain, [0.0, 1.0, 2.0, 3.0]),
+             "brute_force_oracle": lambda: brute_force_oracle(chain)}
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=f"^{name} requires a closed curve$"):
+            call()
+
+
+def test_batched_arc_curvature_equals_the_per_row_calls(corpus):
+    for name, curve in _gate_curves(corpus).items():
+        sols = _find_quietly(curve).solutions
+        reps = np.array([s.params for s in sols]).reshape(-1, 4)
+        assert verify_quad_arc_curvature(curve, reps, solver._ARC_KAPPA_TOL).tolist() == \
+            [s.arc_kappa_ok for s in sols], name
+        for tol in (1e-6, 1.0, 2.0, 3.0):
+            batch = verify_quad_arc_curvature(curve, reps, tol)
+            assert batch.dtype == bool and batch.shape == (len(reps),), name
+            assert batch.tolist() == [verify_quad_arc_curvature(curve, r, tol) for r in reps], name
+        broken = reps.copy()
+        broken[-1] = broken[-1, ::-1]  # winds the other way
+        with pytest.raises(ValueError, match="cyclically ordered"):
+            verify_quad_arc_curvature(curve, broken, 1e-6)
+    assert verify_quad_arc_curvature(curve, np.empty((0, 4)), 1e-6).shape == (0,)
 
 
 def test_ellipse_single_solution(ellipse, ellipse_solutions):
@@ -1132,6 +1211,13 @@ def test_config_validation():
         find_quads(c, SolverConfig(grid_m=4))
     with pytest.raises(ValueError, match="positive"):
         find_quads(c, SolverConfig(residual_tol=-1.0))
+    for seed in ([0.1, 0.2], [[0.1, 0.2, 0.3, 0.4]], [math.inf, 0.2, 0.3, 0.4],
+                 [0.1, math.nan, 0.3, 0.4]):
+        with pytest.raises(ValueError, match="^seed must be four finite arclength values$"):
+            refine(c, seed)
+    for L in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^L must be finite and positive$"):
+            symmetry_distance([0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3, 0.4], L)
 
 
 @pytest.mark.parametrize("name, value", [("grid_m", 24.5), ("grid_m", 24.0), ("grid_m", math.nan),
