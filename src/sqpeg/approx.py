@@ -10,6 +10,7 @@ from dataclasses import dataclass, fields
 from itertools import zip_longest
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .curve import _MIN_EDGE_FRACTION, PolyCurve, _check_positive
 
@@ -273,26 +274,30 @@ def fillet_smooth(poly: PolyCurve, radius: float) -> SmoothedCurve:
 _SHIFT_BATCH = 16  # shifts per wavefront sweep
 
 
-def _coupling_values(table: np.ndarray, m: int, shifts: np.ndarray) -> np.ndarray:
+def _coupling_values(table: np.ndarray, m: int, shifts):
     """Coupling value of table[:, s:s + m] for each s in shifts.
 
     Sweeps C[i, j] = max(D[i, j], min(C[i-1, j], C[i, j-1], C[i-1, j-1]))
     by anti-diagonals d = i + j, vectorized over the shifts; a diagonal is
-    kept by column j at index j + 1, +inf off the table.
+    kept by column j at index j + 1, +inf off the table.  shifts is one
+    shift, whose diagonals are read as views, or an array of them, read by
+    one gather per diagonal.
     """
     n, width = table.shape
-    flat = table.ravel()
-    # flat index of cell (d - j, j + s) is d * width + off[s, j]
-    off = shifts[:, None] + np.arange(m) * (1 - width)
-    older, old, new = np.full((3, shifts.size, m + 1), np.inf)
-    old[:, 1] = flat[shifts]
+    row, col = table.strides
+    # diagonal[d, s, j] is table[d - j, j + s]; only the band
+    # max(0, d - n + 1) <= j <= min(d, m - 1), inside the table, is read
+    diagonal = as_strided(table, shape=(n + m - 1, width - m + 1, m),
+                          strides=(row, col, col - row), writeable=False)
+    older, old, new = np.full((3, *np.shape(shifts), m + 1), np.inf)
+    old[..., 1] = table[0, shifts]
     for d in range(1, n + m - 1):
         lo, hi = max(0, d - n + 1), min(d, m - 1)
-        step = np.minimum(old[:, lo + 1:hi + 2], old[:, lo:hi + 1])
-        np.minimum(step, older[:, lo:hi + 1], out=step)
-        np.maximum(step, flat[off[:, lo:hi + 1] + d * width], out=new[:, lo + 1:hi + 2])
+        step = np.minimum(old[..., lo + 1:hi + 2], old[..., lo:hi + 1])
+        np.minimum(step, older[..., lo:hi + 1], out=step)
+        np.maximum(step, diagonal[d, shifts, lo:hi + 1], out=new[..., lo + 1:hi + 2])
         older, old, new = old, new, older
-    return old[:, m]
+    return old[..., m]
 
 
 def _best_shift(dist: np.ndarray, best: float) -> float:
@@ -308,8 +313,27 @@ def _best_shift(dist: np.ndarray, best: float) -> float:
         batch = batch[bound[batch] < best]
         if batch.size == 0:
             break
-        best = min(best, float(_coupling_values(doubled, m, batch).min()))
+        shifts = batch[0] if batch.size == 1 else batch
+        best = min(best, float(np.min(_coupling_values(doubled, m, shifts))))
     return best
+
+
+def _distance_table(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """|pa[i] - pb[j]| for every pair of rows, one coordinate at a time.
+
+    The squares are summed in the pairing np.einsum uses for a short axis:
+    the even coordinates, the odd ones, then the two sums.  Up to dimension
+    7 that is the float einsum("ijk,ijk->ij") gives on the (n, m, d)
+    differences, which this never forms.
+    """
+    lanes = [None, None]
+    for j in range(pa.shape[1]):
+        sq = np.subtract.outer(pa[:, j], pb[:, j])
+        np.multiply(sq, sq, out=sq)
+        lane = lanes[j % 2]
+        lanes[j % 2] = sq if lane is None else np.add(lane, sq, out=lane)
+    even, odd = lanes  # a curve has at least two coordinates
+    return np.sqrt(np.add(even, odd, out=even), out=even)
 
 
 def discrete_frechet(a: PolyCurve, b: PolyCurve) -> float:
@@ -341,11 +365,10 @@ def discrete_frechet(a: PolyCurve, b: PolyCurve) -> float:
     # distance is symmetric and the transposed matrix holds the same floats
     if pa.shape[0] < pb.shape[0]:
         pa, pb = pb, pa
-    diff = pa[:, None, :] - pb[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    dist = _distance_table(pa, pb)
     n, m = dist.shape
     if not a.closed:
-        return float(_coupling_values(dist, m, np.zeros(1, dtype=np.intp))[0])
+        return float(_coupling_values(dist, m, 0))
     best = _best_shift(dist, math.inf)
     return _best_shift(dist.T, best) if n == m else best
 

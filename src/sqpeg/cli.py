@@ -17,6 +17,7 @@ import inspect
 import json
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -80,17 +81,17 @@ def _emit(text: str, out: str | None):
 
 
 def _csv_text(header: list, rows: list) -> str:
-    """CSV text of tuple rows, one %-format per row: "%.17g" in the float
-    columns of the first row (the bytes of format(x, ".17g")), "%s" in the
-    others.  A non-finite float is written null, as in the JSON."""
+    """CSV text of rows of numbers, all formatted by one %-format: "%.17g"
+    in the float columns of the first row (the bytes of format(x, ".17g")),
+    "%s" in the others.  A non-finite float is written null, as in the
+    JSON."""
     lines = [",".join(header)]
     if rows:
         fmt = ",".join("%.17g" if isinstance(v, (float, np.floating)) else "%s" for v in rows[0])
-    for row in rows:
-        line = fmt % row
-        if not all(map(math.isfinite, row)):
-            line = ",".join("null" if c in ("nan", "inf", "-inf") else c for c in line.split(","))
-        lines.append(line)
+        body = "\n".join([fmt] * len(rows)) % tuple(chain.from_iterable(rows))
+        if "n" in body:  # nan, inf and -inf are the only numbers written with an n
+            body = body.replace("-inf", "null").replace("inf", "null").replace("nan", "null")
+        lines.append(body)
     return "\n".join(lines) + "\n"
 
 
@@ -186,8 +187,7 @@ def _cmd_analyze(args) -> int:
 
     if args.windows_csv:
         windows = scan_windows(curve, **_given(args, "cap"))
-        rows = [(w.a, w.b, w.kappa, w.chord, w.arclen) for w in windows]
-        _emit(_csv_text(["a", "b", "kappa", "chord", "arclen"], rows), args.windows_csv)
+        _emit(_csv_text(["a", "b", "kappa", "chord", "arclen"], windows), args.windows_csv)
     return 0
 
 

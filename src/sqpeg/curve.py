@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 
 import numpy as np
 
@@ -99,8 +100,9 @@ def segment_to_segments_distance(p0, p1, q0, q1):
     # coordinate-major: x[j] is coordinate j of every row
     d1, d2, r = (p1 - p0).T, (q1 - q0).T, (p0 - q0).T
 
+    # the coordinate sums start from the first term: sum() would add it to 0
     def dot(x, y):
-        return sum(x[j] * y[j] for j in range(len(r)))
+        return reduce(add, (x[j] * y[j] for j in range(len(r))))
 
     l1 = np.sqrt(dot(d1, d1))
     l2 = np.sqrt(dot(d2, d2))
@@ -109,7 +111,7 @@ def segment_to_segments_distance(p0, p1, q0, q1):
     b, c, f = dot(u2, u1), dot(r, u1), dot(r, u2)
 
     def gap_sq(sigma, tau):  # |r + sigma*u1 - tau*u2|^2
-        return sum((r[j] + sigma * u1[j] - tau * u2[j]) ** 2 for j in range(len(r)))
+        return reduce(add, ((r[j] + sigma * u1[j] - tau * u2[j]) ** 2 for j in range(len(r))))
 
     # arclengths: sigma along p, tau along q
     den = 1.0 - b * b

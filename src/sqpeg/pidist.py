@@ -10,13 +10,15 @@ labeled as such wherever it is reported.
 Both values are exact.  The subarcs with a given set of interior corners
 have their endpoints on two edges, and the least chord between two segments
 under one linear arclength limit has a closed form, so nothing is sampled.
-The scan over all runs is pruned without changing its result: a run's chord
-is at least the distance of its two edges, which is at least
-|mid_a - mid_b| - (len_a + len_b) / 2, so a run whose bound exceeds a chord
-already found can neither win nor tie and is never evaluated.  The bound is
-checked on three levels, each a lower bound of the next: balls around
-chunks of a-edges against balls around chunks of b-edges, then each a-edge
-against a b-chunk ball, then each run.  Ties go to the least (chord,
+A small set of runs is evaluated whole.  A larger one is pruned without
+changing its result: a run's chord is at least the distance of its two
+edges, which is at least |mid_a - mid_b| - (len_a + len_b) / 2, so a run
+whose bound exceeds a chord already found can neither win nor tie and is
+never evaluated.  The bound is checked on three levels, each a lower bound
+of the next: balls around chunks of a-edges against balls around chunks of
+b-edges, then each a-edge against a b-chunk ball, then each run.  On a
+closed curve the runs whose two edges share a vertex are bounded at that
+vertex instead, from the arclength cap.  Ties go to the least (chord,
 normalized a, normalized b, i, k), whatever the order of the scan.  `step`
 is kept for the wrap margin of closed curves (subarcs up to L - step long)
 and is reported as the result's `resolution`.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -51,15 +53,19 @@ _MAX_EDGE_SAMPLES = 2048
 # consecutive a-edges, and consecutive b-edges, bounded together by one ball
 # in the pruned scan
 _CHUNK = 32
+# candidate runs up to which the scan evaluates them all in one call: below
+# it the pruning costs more than it saves (at most _ragged's block of 2^16,
+# so that one block holds them)
+_DIRECT_RUNS = 4096
 
 
-@dataclass(frozen=True)
-class CurvatureWindow:
+class CurvatureWindow(NamedTuple):
     """An open subarc (a, b) with curvature mass kappa >= pi.
 
     a and b are normalized parameters in [0, L); arclen disambiguates arcs
     that wrap past the seam.  chord is the straight-line endpoint distance,
-    never exceeding arclen.
+    never exceeding arclen.  A named tuple, so a list of windows is rows of
+    numbers as it stands.
     """
 
     a: float
@@ -69,13 +75,7 @@ class CurvatureWindow:
     arclen: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "kappa": self.kappa,
-            "chord": self.chord,
-            "arclen": self.arclen,
-        }
+        return self._asdict()
 
 
 @dataclass(frozen=True)
@@ -226,6 +226,20 @@ class _RunScanner:
         > b_lo.  k may also be a slice."""
         return tuple(x[k] if isinstance(k, slice) else x.take(k, axis=0) for x in self._b)
 
+    def adjacent_bound(self, i, cap: float):
+        """Lower bound on the chord of the closed curve's run (i, i + n - 2)
+        under the cap.
+
+        The run's a-edge and b-edge meet at the vertex before corner i,
+        where the curve turns by tau.  Window endpoints x and y from that
+        vertex on the two edges have x + y = L - (b - a) >= L - cap, so the
+        chord, the third side of a triangle with angle pi - tau between
+        them, is at least (x + y) * sin((pi - tau) / 2) >= (L - cap) *
+        cos(tau / 2).  The midpoint bound of two adjacent edges is <= 0.
+        """
+        _, tau = self.curve._atoms
+        return (self.L - cap) * np.cos(0.5 * tau[(i - 1) % self.n])
+
     def chord_min(self, i, k, cap: float):
         """(chord, a_raw, b_raw) of the runs (i, k) under the cap, chord inf
         where a run is infeasible; i is one corner or pairs with k row by row."""
@@ -263,10 +277,8 @@ class _RunScanner:
             b_n = np.clip(b_raw, 0.0, self.L)
         chord = np.linalg.norm(self.curve.point_at(a_n) - self.curve.point_at(b_n), axis=1)
         kappa = self.curve.subarc_curvature(a_n, b_n)
-        rows = zip(a_n.tolist(), b_n.tolist(), kappa.tolist(), chord.tolist(),
-                   (b_raw - a_raw).tolist())
-        return [CurvatureWindow(a=a, b=b, kappa=kap, chord=ch, arclen=arc)
-                for a, b, kap, ch, arc in rows]
+        return list(map(CurvatureWindow._make, zip(a_n.tolist(), b_n.tolist(), kappa.tolist(),
+                                                    chord.tolist(), (b_raw - a_raw).tolist())))
 
 
 def scan_windows(curve: PolyCurve, cap: Optional[float] = None):
@@ -303,14 +315,10 @@ def _balls(mid, half):
 def _enumerate_best(curve: PolyCurve, effective_cap: float):
     """Global minimum-chord window over all runs (not only minimal ones).
 
-    The module's pruning bound is checked on three levels against the bar,
-    the least chord found so far: balls around chunks of _CHUNK live a-edges
-    against balls around chunks of b-edges; then each a-edge of a surviving
-    chunk pair against its b-chunk ball; then each run.  A ball holds every
-    edge of its chunk, so a level's bound is at most the bound of every run
-    below it, and a run that could win or tie is never skipped.  The winner
-    is the least (chord, normalized a, normalized b, i, k), so it does not
-    depend on the order in which the blocks are visited.
+    Up to _DIRECT_RUNS candidate runs are all evaluated in one call; more
+    go through _pruned_scan.  The winner is the least (chord, normalized a,
+    normalized b, i, k), so it depends neither on the path nor on the order
+    in which the blocks are visited.
     """
     scanner = _RunScanner(curve)
     i = np.arange(scanner.n)
@@ -328,14 +336,57 @@ def _enumerate_best(curve: PolyCurve, effective_cap: float):
         return tie[:, np.lexsort((tie[4], tie[3], b_n, a_n))[:1]]
 
     winners = []  # columns (chord, a_raw, b_raw, i, k), one per block
-    for k in (k_lo, k_hi):  # each corner's first and last run set the first bar
+
+    def evaluate(i, k):
+        """Evaluate the runs (i, k), row by row; their least chord."""
         runs = np.stack((*scanner.chord_min(i, k, effective_cap), i, k))
         winners.append(first(runs))
+        return np.min(runs[0], initial=np.inf)
+
+    counts = k_hi - k_lo + 1
+    if np.sum(counts) <= _DIRECT_RUNS:
+        (r, k), = _ragged(k_lo, counts)
+        evaluate(i[r], k)
+    else:
+        _pruned_scan(scanner, i, k_lo, k_hi, effective_cap, evaluate)
+    _, a_raw, b_raw, wi, wk = first(np.concatenate(winners, axis=1))
+    return scanner.finalize(a_raw, b_raw, wi.astype(int), wk.astype(int), effective_cap)[0]
+
+
+def _pruned_scan(scanner: _RunScanner, i, k_lo, k_hi, cap: float, evaluate) -> None:
+    """Evaluate, through `evaluate`, every run (i, k_lo..k_hi) that could
+    win or tie.
+
+    The bar is the least chord found so far.  Each corner's first and last
+    run set the first bar; on a closed curve so does the adjacent-edge run
+    (i, i + n - 2) of least `adjacent_bound`, and the other adjacent-edge
+    runs are checked against that bound.  The rest are checked against the
+    module's bound on three levels: balls around chunks of _CHUNK live
+    a-edges against balls around chunks of b-edges; then each a-edge of a
+    surviving chunk pair against its b-chunk ball; then each run.  A ball
+    holds every edge of its chunk, so a level's bound is at most the bound
+    of every run below it, and a run that could win or tie is never
+    skipped.
+    """
     slack = 1e-12 * scanner.L  # covers the rounding of the bound
-    limit = min(w[0, 0] for w in winners) + slack
+    limit = min(evaluate(i, k) for k in (k_lo, k_hi)) + slack
     # the scan below covers the runs between
     inner = k_hi - k_lo >= 2
     i, k_lo, k_hi = i[inner], k_lo[inner] + 1, k_hi[inner] - 1
+    if scanner.closed:
+        # k_hi <= i + n - 2 now, so the adjacent-edge run, if inside, is last
+        adjacent = np.flatnonzero(k_hi == i + scanner.n - 2)
+        if adjacent.size:
+            bound = scanner.adjacent_bound(i[adjacent], cap)
+            order = np.argsort(bound, kind="stable")
+            sharpest, rest = adjacent[order[:1]], adjacent[order[1:]]
+            limit = min(limit, evaluate(i[sharpest], k_hi[sharpest]) + slack)
+            rest = rest[bound[order[1:]] <= limit]
+            if rest.size:
+                limit = min(limit, evaluate(i[rest], k_hi[rest]) + slack)
+            k_hi[adjacent] -= 1
+            keep = k_hi >= k_lo
+            i, k_lo, k_hi = i[keep], k_lo[keep], k_hi[keep]
 
     a_lo, a_hi, va0, va1 = scanner.a_edge(i)
     a_mid, a_half = 0.5 * (va0 + va1), 0.5 * (a_hi - a_lo)
@@ -366,12 +417,7 @@ def _enumerate_best(curve: PolyCurve, effective_cap: float):
             start = np.maximum(c_r * _CHUNK, k_lo[r])
             for q, k in _ragged(start, np.minimum(c_r * _CHUNK + _CHUNK - 1, k_hi[r]) - start + 1):
                 keep = near(a_mid, a_half, r[q], b_mid, b_half, k)
-                ik = (i[r[q][keep]], k[keep])
-                runs = np.stack((*scanner.chord_min(*ik, effective_cap), *ik))
-                winners.append(first(runs))
-                limit = min(limit, np.min(runs[0], initial=np.inf) + slack)
-    _, a_raw, b_raw, wi, wk = first(np.concatenate(winners, axis=1))
-    return scanner.finalize(a_raw, b_raw, wi.astype(int), wk.astype(int), effective_cap)[0]
+                limit = min(limit, evaluate(i[r[q][keep]], k[keep]) + slack)
 
 
 def pi_distance(curve: PolyCurve, mode: str = "capped", cap: Optional[float] = None,

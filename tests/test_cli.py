@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sqpeg.cli import main
+from sqpeg.cli import _csv_text, main
 from sqpeg.curve import PolyCurve
 
 
@@ -296,6 +296,23 @@ def test_converge_writes_null_for_an_n_with_no_solutions(tmp_path):
     rows = [line.split(",") for line in lines[1:]]
     assert [(r[0], r[4]) for r in rows] == [("8", "null"), ("16", "null")]
     assert all(math.isfinite(float(c)) for r in rows for c in r[:4] + r[5:])
+
+
+def test_csv_text_writes_null_for_non_finite_values_in_any_row():
+    nan, inf = float("nan"), float("inf")
+    rows = [(8, 0.1, 2.5e-300, True), (16, nan, -inf, False), (32, 1.0 / 3.0, inf, True),
+            (64, np.float64(-0.0), np.float64(nan), False), (128, 1e300, -7.0, True),
+            (256, np.float64(-inf), 5e-324, False)]
+
+    def cell(first, v):  # the row-by-row formatting: format(v, ".17g") in float columns
+        if not math.isfinite(v):
+            return "null"
+        return format(v, ".17g") if isinstance(first, float) else str(v)
+
+    expected = "".join(",".join(map(cell, rows[0], row)) + "\n" for row in rows)
+    assert _csv_text(["N", "x", "y", "ok"], rows) == "N,x,y,ok\n" + expected
+    assert "nan" not in expected and "inf" not in expected
+    assert _csv_text(["N", "x"], []) == "N,x\n"
 
 
 @pytest.mark.parametrize("scale", ["1e-20", "1e120"])

@@ -354,21 +354,25 @@ def _effective_caps(curve):
     return sorted(caps)
 
 
-def _check_against_reference(curve):
+def _check_against_reference(curve, monkeypatch):
     L = curve.length
     for cap in _effective_caps(curve):
-        ours = _enumerate_best(curve, cap)
         ref = reference_enumerate_best(curve, cap)
-        assert (ours is None) == (ref is None), cap
-        if ours is None:
-            continue
-        assert abs(ours.chord - ref.chord) <= 1e-12 * L, (cap, ours, ref)
-        assert ours.kappa >= math.pi - _PI_SLACK
-        assert ours.arclen <= cap + 1e-12 * L
-        # both evaluate each run with the same row arithmetic, so even the
-        # ties of the regular polygons and the near-zero chords of the
-        # self-crossing ones go to the same run
-        assert ours == ref, cap
+        # the pruned scan alone, then the default: small run sets evaluated whole
+        for direct in (0, pidist._DIRECT_RUNS):
+            with monkeypatch.context() as m:
+                m.setattr(pidist, "_DIRECT_RUNS", direct)
+                ours = _enumerate_best(curve, cap)
+            assert (ours is None) == (ref is None), cap
+            if ours is None:
+                continue
+            assert abs(ours.chord - ref.chord) <= 1e-12 * L, (cap, ours, ref)
+            assert ours.kappa >= math.pi - _PI_SLACK
+            assert ours.arclen <= cap + 1e-12 * L
+            # both evaluate each run with the same row arithmetic, so even the
+            # ties of the regular polygons and the near-zero chords of the
+            # self-crossing ones go to the same run
+            assert ours == ref, (cap, direct)
 
 
 def _sweep_curves():
@@ -389,13 +393,13 @@ _SWEEP = _sweep_curves()
 
 
 @pytest.mark.parametrize("name", sorted(_SWEEP))
-def test_pruned_scan_matches_per_corner_scan(name):
-    _check_against_reference(_SWEEP[name])
+def test_pruned_scan_matches_per_corner_scan(name, monkeypatch):
+    _check_against_reference(_SWEEP[name], monkeypatch)
 
 
-def test_pruned_scan_matches_per_corner_scan_on_the_corpus(corpus):
+def test_pruned_scan_matches_per_corner_scan_on_the_corpus(corpus, monkeypatch):
     for curve in corpus.values():
-        _check_against_reference(curve)
+        _check_against_reference(curve, monkeypatch)
 
 
 def _measure_curves():
@@ -412,11 +416,36 @@ def _measure_curves():
     }
 
 
-def test_pruned_scan_same_witness_on_the_measure_curves():
+def test_pruned_scan_same_witness_on_the_measure_curves(monkeypatch):
     for name, curve in _measure_curves().items():
         L = curve.length
         for cap in (L / 2, L - L / 11520):
-            assert _enumerate_best(curve, cap) == reference_enumerate_best(curve, cap), name
+            ref = reference_enumerate_best(curve, cap)
+            for direct in (0, pidist._DIRECT_RUNS):
+                with monkeypatch.context() as m:
+                    m.setattr(pidist, "_DIRECT_RUNS", direct)
+                    assert _enumerate_best(curve, cap) == ref, (name, direct)
+
+
+def test_adjacent_bound_never_exceeds_the_chord():
+    # the measure curves at their fine step, a square with a straight vertex
+    # mid-edge (where the bound is tight), and self-crossing and space polygons
+    rng = np.random.default_rng(29)
+    curves = dict(_measure_curves())
+    curves["square8"] = PolyCurve([[0, 0], [0.5, 0], [1, 0], [1, 0.5], [1, 1], [0.5, 1],
+                                   [0, 1], [0, 0.5]], closed=True)
+    for j in range(4):
+        curves[f"crossing_{j}"] = PolyCurve(rng.normal(size=(int(rng.integers(3, 40)), 2)), True)
+        curves[f"space_{j}"] = PolyCurve(rng.normal(size=(int(rng.integers(3, 40)), 3)), True)
+    for name, curve in curves.items():
+        scanner = _RunScanner(curve)
+        L = curve.length
+        i = np.arange(scanner.n)
+        for cap in (L - L / 11520, L - L / 720, 0.75 * L):
+            chord, _, _ = scanner.chord_min(i, i + scanner.n - 2, cap)
+            bound = scanner.adjacent_bound(i, cap)
+            # the slack is the one the pruned scan adds to its bar
+            assert np.all(bound <= chord + 1e-12 * L), (name, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -520,12 +549,40 @@ def test_three_level_scan_matches_the_row_level_scan(name, chunk, monkeypatch):
     calls = [("literal", None, None), ("literal", None, L / 2048)]
     calls += [("capped", cap, None) for cap in (L / 2, 0.75 * L, L - L / 720, L / 5)]
     monkeypatch.setattr(pidist, "_CHUNK", chunk)
+    monkeypatch.setattr(pidist, "_DIRECT_RUNS", 0)  # no run set is evaluated whole
     for mode, cap, step in calls:
         ours = pi_distance(curve, mode, cap=cap, step=step).to_json_dict()
         with monkeypatch.context() as m:
             m.setattr(pidist, "_enumerate_best", _ref_enumerate_best)
             ref = pi_distance(curve, mode, cap=cap, step=step).to_json_dict()
         assert ours == ref, (mode, cap, step)
+
+
+@st.composite
+def _scan_case(draw):
+    """A seeded random planar or space curve: star-shaped or self-crossing,
+    closed, or an open chain; and a mode with its cap."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["star", "crossing", "chain"]))
+    if kind == "star":
+        curve = random_star_polygon(rng, 4, 40, z_jitter=0.3 if dim == 3 else 0.0)
+    else:
+        curve = PolyCurve(rng.normal(size=(int(rng.integers(4, 40)), dim)), kind == "crossing")
+    mode = draw(st.sampled_from(["literal", "capped"]))
+    cap = draw(st.sampled_from([0.3, 0.5, 0.75, 0.99])) * curve.length if mode == "capped" else None
+    return curve, mode, cap
+
+
+@given(_scan_case())
+def test_direct_and_pruned_scans_agree(case):
+    curve, mode, cap = case
+    results = []
+    for direct in (0, 1 << 16):  # the pruned scan always; then every run set whole
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(pidist, "_DIRECT_RUNS", direct)
+            results.append(pi_distance(curve, mode, cap=cap))
+    assert results[0] == results[1]
 
 
 _DENSE = {
