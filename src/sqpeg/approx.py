@@ -353,7 +353,10 @@ def discrete_frechet(a: PolyCurve, b: PolyCurve) -> float:
     batches, until the larger of the two bounds reaches the best value
     found; a first shift that meets the floor ends the search at once.
     Exact: the returned float is a coupling value, the same float as the
-    full minimum over all shifts.  Memory: the n x m distance matrix, its
+    full minimum over all shifts.  The table is built with both curves
+    scaled by one power of two that puts every coordinate under 1, so no
+    squared difference overflows and the distance of two curves scaled by
+    2^k is theirs times 2^k.  Memory: the n x m distance matrix, its
     column-doubled copy if closed, O(batch * min(n, m)) more.
     """
     if a.closed != b.closed:
@@ -365,12 +368,15 @@ def discrete_frechet(a: PolyCurve, b: PolyCurve) -> float:
     # distance is symmetric and the transposed matrix holds the same floats
     if pa.shape[0] < pb.shape[0]:
         pa, pb = pb, pa
-    dist = _distance_table(pa, pb)
+    # the table is built with the coordinates under 1 by one power of two,
+    # an exact factor, so that no squared difference overflows
+    e = math.frexp(max(float(np.max(np.abs(pa))), float(np.max(np.abs(pb)))))[1]
+    dist = _distance_table(np.ldexp(pa, -e), np.ldexp(pb, -e))
     n, m = dist.shape
     if not a.closed:
-        return float(_coupling_values(dist, m, 0))
+        return math.ldexp(float(_coupling_values(dist, m, 0)), e)
     best = _best_shift(dist, math.inf)
-    return _best_shift(dist.T, best) if n == m else best
+    return math.ldexp(_best_shift(dist.T, best) if n == m else best, e)
 
 
 def verify_length_bound(a: PolyCurve, b: PolyCurve) -> dict:

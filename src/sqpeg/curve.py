@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import chain
 from operator import add
 
 import numpy as np
@@ -211,6 +212,22 @@ class PolyCurve:
         self.cum_len = np.concatenate(([0.0], np.cumsum(lens)))[: v.shape[0]]
         self.length = length
         self._knots = np.concatenate((self.cum_len, [self.length]))
+        # (largest clearance found embedded, least found not), in the units
+        # of the curve at unit scale: see is_embedded
+        self._clearance_levels = (-math.inf, math.inf)
+
+    @cached_property
+    def _unit_copy(self) -> "PolyCurve":
+        return PolyCurve(np.ldexp(self.vertices, -math.frexp(self.length)[1]), closed=self.closed)
+
+    @property
+    def _unit(self):
+        """(the curve at unit scale, e) with e = frexp(L)[1]: the curve itself
+        if e is 0, else a copy scaled by 2^-e, built once.  Either way its
+        length is in [1/2, 1), where no squared or cubed length overflows or
+        underflows, and the factor is exact."""
+        e = math.frexp(self.length)[1]
+        return (self._unit_copy if e else self), e
 
     @cached_property
     def _edge_tangents(self):
@@ -303,12 +320,18 @@ class PolyCurve:
             raise ValueError("turning angle undefined at an open-curve endpoint")
         return float(ang[i - 1])  # atoms are indexed from the first interior vertex
 
-    @cached_property
+    @property
     def _atoms(self):
         """(positions, angles) of the curvature atoms, one per corner vertex."""
+        return (self.cum_len if self.closed else self.cum_len[1:-1]), self._turning
+
+    @cached_property
+    def _turning(self):
+        """Turning angle at each corner vertex; a scaled copy may be given
+        its curve's, which no scale changes."""
         if self.closed:
-            return self.cum_len, _angles(np.roll(self._edge_vecs, 1, axis=0), self._edge_vecs)
-        return self.cum_len[1:-1], _angles(self._edge_vecs[:-1], self._edge_vecs[1:])
+            return _angles(np.roll(self._edge_vecs, 1, axis=0), self._edge_vecs)
+        return _angles(self._edge_vecs[:-1], self._edge_vecs[1:])
 
     @cached_property
     def _atom_prefix(self):
@@ -380,8 +403,30 @@ class PolyCurve:
         boxes, grown by clearance/2, overlap are measured.  In the plane a
         pair meeting by exact orientation signs fails at any clearance >= 0;
         in dimension 3 and up a crossing may compute to a distance above 0.
+
+        The pairs are measured on the curve at unit scale, where no squared
+        distance overflows.  The answer can only turn from True to False as
+        the clearance grows: a larger clearance grows every box and keeps
+        every measured distance, and the meeting test reads only the boxes
+        at clearance 0.  So the unit curve keeps the largest clearance it
+        found embedded and the least it found not, and answers at or below
+        the first, or at or above the second, without measuring.
         """
         _check_nonnegative("clearance", clearance)
+        unit, e = self._unit
+        # any two edges are within L, so every clearance past L answers as L
+        clearance = math.ldexp(min(clearance, self.length), -e)
+        below, above = unit._clearance_levels
+        if clearance <= below:
+            return True
+        if clearance >= above:
+            return False
+        embedded = unit._measure_clearance(clearance)
+        unit._clearance_levels = (clearance, above) if embedded else (below, clearance)
+        return embedded
+
+    def _measure_clearance(self, clearance: float) -> bool:
+        """is_embedded(clearance), measured pair by pair."""
         E = self.num_edges
         starts = self.vertices[:E]
         ends = starts + self._edge_vecs
@@ -419,12 +464,25 @@ class PolyCurve:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PolyCurve":
+        """The curve of a JSON object with keys "dimension" (an integer),
+        "closed" (true or false) and "vertices" (rows of numbers); a value
+        of another type is refused with a ValueError naming its key."""
         if not isinstance(data, dict):
             raise ValueError("curve JSON must be an object")
         for key in ("dimension", "closed", "vertices"):
             if key not in data:
                 raise ValueError(f"curve JSON missing required key '{key}'")
-        verts = np.asarray(data["vertices"], dtype=float)
-        if verts.ndim != 2 or verts.shape[1] != int(data["dimension"]):
+        dimension, closed, rows = data["dimension"], data["closed"], data["vertices"]
+        if type(dimension) is not int:
+            raise ValueError(f"curve JSON 'dimension' must be an integer, not {dimension!r}")
+        if type(closed) is not bool:
+            raise ValueError(f"curve JSON 'closed' must be true or false, not {closed!r}")
+        # exact types: JSON true and false load as bools, which isinstance
+        # would take for the ints 1 and 0
+        if not (type(rows) is list and set(map(type, rows)) <= {list}
+                and set(map(type, chain.from_iterable(rows))) <= {int, float}):
+            raise ValueError("curve JSON 'vertices' must be a list of rows of numbers")
+        verts = np.asarray(rows, dtype=float)
+        if verts.ndim != 2 or verts.shape[1] != dimension:
             raise ValueError("curve JSON 'vertices' does not match 'dimension'")
-        return cls(verts, bool(data["closed"]))
+        return cls(verts, closed)

@@ -11,22 +11,34 @@ Both values are exact.  The subarcs with a given set of interior corners
 have their endpoints on two edges, and the least chord between two segments
 under one linear arclength limit has a closed form, so nothing is sampled.
 A small set of runs is evaluated whole.  A larger one is pruned without
-changing its result: a run's chord is at least the distance of its two
-edges, which is at least |mid_a - mid_b| - (len_a + len_b) / 2, so a run
-whose bound exceeds a chord already found can neither win nor tie and is
-never evaluated.  The bound is checked on three levels, each a lower bound
-of the next: balls around chunks of a-edges against balls around chunks of
-b-edges, then each a-edge against a b-chunk ball, then each run.  On a
-closed curve the runs whose two edges share a vertex are bounded at that
-vertex instead, from the arclength cap.  Ties go to the least (chord,
-normalized a, normalized b, i, k), whatever the order of the scan.  `step`
-is kept for the wrap margin of closed curves (subarcs up to L - step long)
-and is reported as the result's `resolution`.
+changing its result: a run whose lower bound exceeds a chord already found
+can neither win nor tie and is never evaluated.  A run's chord is at least
+the distance of its two edges, which is at least |mid_a - mid_b| - (len_a +
+len_b) / 2.  On a closed curve, a run whose two edges share a vertex is
+bounded at that vertex from the arclength cap, and the full run, whose two
+edges are one edge, by L - cap.  The scan bounds before it evaluates: the
+sharpest shared-vertex run sets the first bar, then each corner's first and
+last run are evaluated only where their bound is within it.  Every run left
+has two edges that share no vertex, so when the bar is below the shortest
+edge one embeddedness sweep at the bar can rule them all out at once;
+otherwise the bound is checked on three levels, each a lower bound of the
+next: balls around chunks of a-edges against balls around chunks of
+b-edges, then each a-edge against a b-chunk ball, then each run.  Ties go
+to the least (chord, normalized a, normalized b, i, k), whatever the order
+of the scan.  `step` is kept for the wrap margin of closed curves (subarcs
+up to L - step long) and is reported as the result's `resolution`.
+
+Every scan of a curve runs on one scanner, kept on the curve, of its copy at
+unit scale (a power-of-two factor, exact, under which no squared length
+overflows or underflows); so the scans of one `analyze` share its tables and
+the minimal runs at their shared cap, and the results of a curve scaled by
+2^k are its own times 2^k.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -173,11 +185,14 @@ class _RunScanner:
     A run (i, k) is the cyclic range of corners i..k; any window whose
     endpoints lie on the run's two boundary edges has exactly those corners
     in its interior, hence curvature mass equal to the run's turning sum.
-    Every method takes corner ordinals as integers or integer arrays.
+    Every method takes corner ordinals as integers or integer arrays.  The
+    windows `finalize` builds are scaled by 2^e: the scans run on the curve
+    at unit scale (see _scanner) and report in the curve's own units.
     """
 
-    def __init__(self, curve: PolyCurve):
+    def __init__(self, curve: PolyCurve, e: int = 0):
         self.curve = curve
+        self.e = e
         self.L = curve.length
         pos, ang = curve._atoms
         self.n = len(pos)
@@ -198,6 +213,10 @@ class _RunScanner:
         self._a = (pos - lens[prev], pos, verts[prev], verts[vi])
         vk = np.arange(len(self.pos_ext)) % nv if self.closed else vi
         self._b = (self.pos_ext, self.pos_ext + lens[vk], verts[vk], verts[(vk + 1) % nv])
+        self.k_lo = self.k_first(np.arange(self.n))
+        # (cap, first_runs at that cap), for the last cap only; _enumerate_best
+        # sets it where it evaluates them anyway
+        self.first = (None, None)
 
     def _limit(self, i):
         return i + self.n - 1 if self.closed else self.n - 1
@@ -240,12 +259,46 @@ class _RunScanner:
         _, tau = self.curve._atoms
         return (self.L - cap) * np.cos(0.5 * tau[(i - 1) % self.n])
 
+    def run_bound(self, i, k, cap: float):
+        """Lower bound on the chords of the runs (i, k) under the cap, paired
+        row by row.
+
+        Any two segments are at least |mid_a - mid_b| - (len_a + len_b) / 2
+        apart.  On a closed curve the adjacent-edge run (i, i + n - 2) takes
+        adjacent_bound instead, and the single-edge run (i, i + n - 1) takes
+        L - cap: its a-edge and b-edge are one edge, whose window endpoints
+        are b - a <= cap apart the long way round the curve, so the short way,
+        which is straight, they are L - (b - a) >= L - cap apart.
+        """
+        a_lo, a_hi, va0, va1 = self.a_edge(i)
+        b_lo, b_hi, vb0, vb1 = self.b_edge(k)
+        gap = 0.5 * (va0 + va1) - 0.5 * (vb0 + vb1)
+        bound = np.sqrt(_rowdot(gap, gap)) - 0.5 * (a_hi - a_lo) - 0.5 * (b_hi - b_lo)
+        if self.closed:
+            bound = np.where(k == i + self.n - 2, self.adjacent_bound(i, cap), bound)
+            bound = np.where(k == i + self.n - 1, self.L - cap, bound)
+        return bound
+
     def chord_min(self, i, k, cap: float):
         """(chord, a_raw, b_raw) of the runs (i, k) under the cap, chord inf
         where a run is infeasible; i is one corner or pairs with k row by row."""
         a_lo, a_hi, va0, va1 = self.a_edge(i)
         b_lo, b_hi, vb0, vb1 = self.b_edge(k)
         return _capped_chord_min(va0, va1, a_lo, a_hi, vb0, vb1, b_lo, b_hi, cap)
+
+    def runs(self, i, k, cap: float):
+        """Columns (chord, a_raw, b_raw, i, k) of the runs (i, k) under the cap."""
+        return np.stack((*self.chord_min(i, k, cap), i, k))
+
+    def first_runs(self, cap: float):
+        """Columns (chord, a_raw, b_raw, i, k) of the minimal run (i, k_lo[i])
+        of every corner that has one, in corner order, under the cap,
+        evaluated once per cap: the scans of one curve at one cap share
+        them."""
+        if self.first[0] != cap:
+            i = np.flatnonzero(self.k_lo >= 0)
+            self.first = (cap, self.runs(i, self.k_lo[i], cap))
+        return self.first[1]
 
     def finalize(self, a_raw, b_raw, i, k, cap: float):
         """Move open-boundary hits inward and build the window records.
@@ -277,8 +330,29 @@ class _RunScanner:
             b_n = np.clip(b_raw, 0.0, self.L)
         chord = np.linalg.norm(self.curve.point_at(a_n) - self.curve.point_at(b_n), axis=1)
         kappa = self.curve.subarc_curvature(a_n, b_n)
+        a_n, b_n, chord, arclen = (np.ldexp(x, self.e) for x in (a_n, b_n, chord, b_raw - a_raw))
         return list(map(CurvatureWindow._make, zip(a_n.tolist(), b_n.tolist(), kappa.tolist(),
-                                                    chord.tolist(), (b_raw - a_raw).tolist())))
+                                                    chord.tolist(), arclen.tolist())))
+
+
+def _scanner(curve: PolyCurve) -> _RunScanner:
+    """The curve's one _RunScanner, on the curve at unit scale, where no
+    squared length overflows or underflows: built on first use and kept in
+    the curve's __dict__ beside its cached_property values, so that every
+    scan of the curve shares its tables and its minimal runs.  The factor is
+    a power of two, so the windows are those of the curve itself."""
+    scanner = curve.__dict__.get("_run_scanner")
+    if scanner is None:
+        unit, e = curve._unit
+        if e:
+            # the copy turns as the curve does: the scans then read the
+            # curve's own atoms, which its curvature methods share
+            unit.__dict__.setdefault("_turning", curve._turning)
+        # at e = 0 the unit curve is the curve itself, which a proxy leaves
+        # free to go when its last reference does
+        scanner = _RunScanner(unit if e else weakref.proxy(curve), e)
+        curve.__dict__["_run_scanner"] = scanner
+    return scanner
 
 
 def scan_windows(curve: PolyCurve, cap: Optional[float] = None):
@@ -294,13 +368,12 @@ def scan_windows(curve: PolyCurve, cap: Optional[float] = None):
     if cap is None:
         cap = curve.length / 2.0
     _check_positive("cap", cap)
-    scanner = _RunScanner(curve)
-    i = np.arange(scanner.n)
-    k = scanner.k_first(i)
-    i, k = i[k >= 0], k[k >= 0]
-    chord, a_raw, b_raw = scanner.chord_min(i, k, cap)
-    ok = np.isfinite(chord)
-    return scanner.finalize(a_raw[ok], b_raw[ok], i[ok], k[ok], cap)
+    scanner = _scanner(curve)
+    # no window is 2L long, so a larger cap keeps the same windows
+    cap = math.ldexp(min(cap, 2.0 * curve.length), -scanner.e)
+    runs = scanner.first_runs(cap)
+    _, a_raw, b_raw, i, k = runs[:, np.isfinite(runs[0])]
+    return scanner.finalize(a_raw, b_raw, i.astype(int), k.astype(int), cap)
 
 
 def _balls(mid, half):
@@ -315,19 +388,20 @@ def _balls(mid, half):
 def _enumerate_best(curve: PolyCurve, effective_cap: float):
     """Global minimum-chord window over all runs (not only minimal ones).
 
-    Up to _DIRECT_RUNS candidate runs are all evaluated in one call; more
-    go through _pruned_scan.  The winner is the least (chord, normalized a,
-    normalized b, i, k), so it depends neither on the path nor on the order
-    in which the blocks are visited.
+    Up to _DIRECT_RUNS candidate runs are all evaluated in one call, and the
+    minimal ones are kept for scan_windows; more go through _pruned_scan.
+    The winner is the least (chord, normalized a, normalized b, i, k), so it
+    depends neither on the path nor on the order in which the runs are
+    offered.
     """
-    scanner = _RunScanner(curve)
-    i = np.arange(scanner.n)
-    k_lo = scanner.k_first(i)
-    k_hi = scanner.k_last_under_cap(i, effective_cap)
-    live = (k_lo >= 0) & (k_hi >= k_lo)
+    scanner = _scanner(curve)
+    cap = math.ldexp(effective_cap, -scanner.e)
+    i = np.flatnonzero(scanner.k_lo >= 0)
+    k_lo = scanner.k_lo[i]
+    k_hi = scanner.k_last_under_cap(i, cap)
+    live = k_hi >= k_lo
     if not np.any(live):
         return None
-    i, k_lo, k_hi = i[live], k_lo[live], k_hi[live]
 
     def first(runs):
         """The column of the least (chord, normalized a, normalized b, i, k)."""
@@ -335,58 +409,104 @@ def _enumerate_best(curve: PolyCurve, effective_cap: float):
         a_n, b_n = np.mod(tie[1:3], scanner.L) if scanner.closed else tie[1:3]
         return tie[:, np.lexsort((tie[4], tie[3], b_n, a_n))[:1]]
 
-    winners = []  # columns (chord, a_raw, b_raw, i, k), one per block
+    winners = []  # columns (chord, a_raw, b_raw, i, k), one per offer
 
-    def evaluate(i, k):
-        """Evaluate the runs (i, k), row by row; their least chord."""
-        runs = np.stack((*scanner.chord_min(i, k, effective_cap), i, k))
+    def offer(runs):
+        """Take the evaluated runs as candidates; their least chord."""
         winners.append(first(runs))
         return np.min(runs[0], initial=np.inf)
 
-    counts = k_hi - k_lo + 1
+    # a corner whose minimal run breaks the cap is evaluated for scan_windows
+    # alone; each corner's first row is its minimal run
+    counts = np.maximum(k_hi - k_lo + 1, 1)
     if np.sum(counts) <= _DIRECT_RUNS:
         (r, k), = _ragged(k_lo, counts)
-        evaluate(i[r], k)
+        runs = scanner.runs(i[r], k, cap)
+        offer(runs[:, live[r]])
+        scanner.first = (cap, runs[:, np.cumsum(counts) - counts])
     else:
-        _pruned_scan(scanner, i, k_lo, k_hi, effective_cap, evaluate)
+        _pruned_scan(scanner, i[live], k_lo[live], k_hi[live], cap, offer)
     _, a_raw, b_raw, wi, wk = first(np.concatenate(winners, axis=1))
-    return scanner.finalize(a_raw, b_raw, wi.astype(int), wk.astype(int), effective_cap)[0]
+    return scanner.finalize(a_raw, b_raw, wi.astype(int), wk.astype(int), cap)[0]
 
 
-def _pruned_scan(scanner: _RunScanner, i, k_lo, k_hi, cap: float, evaluate) -> None:
-    """Evaluate, through `evaluate`, every run (i, k_lo..k_hi) that could
-    win or tie.
+def _sweep_is_cheap(scanner: _RunScanner, limit: float) -> bool:
+    """Whether the bar is below the shortest edge, where the boxes of an
+    is_embedded sweep at the bar meet few others."""
+    return limit < np.min(scanner.curve._edge_lens)
 
-    The bar is the least chord found so far.  Each corner's first and last
-    run set the first bar; on a closed curve so does the adjacent-edge run
-    (i, i + n - 2) of least `adjacent_bound`, and the other adjacent-edge
-    runs are checked against that bound.  The rest are checked against the
-    module's bound on three levels: balls around chunks of _CHUNK live
-    a-edges against balls around chunks of b-edges; then each a-edge of a
-    surviving chunk pair against its b-chunk ball; then each run.  A ball
-    holds every edge of its chunk, so a level's bound is at most the bound
-    of every run below it, and a run that could win or tie is never
-    skipped.
+
+def _pruned_scan(scanner: _RunScanner, i, k_lo, k_hi, cap: float, offer) -> None:
+    """Offer, through `offer`, every run (i, k_lo..k_hi) that could win or
+    tie.
+
+    The bar is the least chord offered so far, plus a slack of 1e-12 L that
+    covers the rounding of the bounds and of the chords.  A run is skipped
+    only where a lower bound on its chord exceeds the bar, so that it can
+    neither win nor tie.  In order:
+
+    1. On a closed curve, the adjacent-edge run (i, i + n - 2) of least
+       `adjacent_bound` sets the first bar.
+    2. Each corner's first and last run is evaluated only where its
+       `run_bound`, a lower bound on its chord (the proofs are there), is
+       within the bar.  With no bar yet (capped mode, open curves) the first
+       runs are all taken, from `first_runs`, which scan_windows shares.
+       Then the adjacent-edge runs between, against `adjacent_bound`.
+    3. Every run left has k_lo < k < k_hi, and k < i + n - 2 if closed.
+       Its a-edge enters corner i and its b-edge leaves corner k: on a
+       closed curve they are edges i - 1 and k with k - (i - 1) in [2, n - 2]
+       (mod n), on an open one edges i and k + 1 with k > i, so they are two
+       edges that share no vertex, and the run's chord is at least their
+       distance.  is_embedded(bar) is True only if every two such edges are
+       more than the bar apart, the slack in the bar covering the rounding
+       of both distances; then no run left can win or tie, and the scan
+       ends.  The sweep grows each edge's box by half the bar, so it is
+       tried only when the bar is below the shortest edge
+       (_sweep_is_cheap), where a box meets few others.
+    4. Otherwise the rest are checked against the module's bound on three
+       levels: balls around chunks of _CHUNK live a-edges against balls
+       around chunks of b-edges; then each a-edge of a surviving chunk pair
+       against its b-chunk ball; then each run.  A ball holds every edge of
+       its chunk, so a level's bound is at most the bound of every run below
+       it, and a run that could win or tie is never skipped.
     """
-    slack = 1e-12 * scanner.L  # covers the rounding of the bound
-    limit = min(evaluate(i, k) for k in (k_lo, k_hi)) + slack
-    # the scan below covers the runs between
+    n, slack = scanner.n, 1e-12 * scanner.L
+
+    def evaluate(i, k):
+        """Offer the runs (i, k); their least chord plus the slack."""
+        return offer(scanner.runs(i, k, cap)) + slack if len(i) else math.inf
+
+    limit = math.inf
+    sharpest = -1  # the corner whose adjacent-edge run set the first bar
+    if scanner.closed:
+        adjacent = np.flatnonzero((k_lo <= i + n - 2) & (i + n - 2 <= k_hi))
+        if adjacent.size:
+            j = adjacent[np.argmin(scanner.adjacent_bound(i[adjacent], cap))]
+            sharpest = i[j]
+            limit = evaluate(i[j:j + 1], i[j:j + 1] + n - 2)
+    if limit == math.inf:
+        live = np.searchsorted(np.flatnonzero(scanner.k_lo >= 0), i)
+        limit = offer(scanner.first_runs(cap)[:, live]) + slack
+    else:
+        keep = scanner.run_bound(i, k_lo, cap) <= limit
+        limit = min(limit, evaluate(i[keep], k_lo[keep]))
+    keep = (k_hi > k_lo) & (scanner.run_bound(i, k_hi, cap) <= limit)
+    limit = min(limit, evaluate(i[keep], k_hi[keep]))
+
+    # the runs between
     inner = k_hi - k_lo >= 2
     i, k_lo, k_hi = i[inner], k_lo[inner] + 1, k_hi[inner] - 1
     if scanner.closed:
         # k_hi <= i + n - 2 now, so the adjacent-edge run, if inside, is last
-        adjacent = np.flatnonzero(k_hi == i + scanner.n - 2)
-        if adjacent.size:
-            bound = scanner.adjacent_bound(i[adjacent], cap)
-            order = np.argsort(bound, kind="stable")
-            sharpest, rest = adjacent[order[:1]], adjacent[order[1:]]
-            limit = min(limit, evaluate(i[sharpest], k_hi[sharpest]) + slack)
-            rest = rest[bound[order[1:]] <= limit]
-            if rest.size:
-                limit = min(limit, evaluate(i[rest], k_hi[rest]) + slack)
-            k_hi[adjacent] -= 1
-            keep = k_hi >= k_lo
-            i, k_lo, k_hi = i[keep], k_lo[keep], k_hi[keep]
+        adjacent = k_hi == i + n - 2
+        keep = np.flatnonzero(adjacent & (i != sharpest))
+        keep = keep[scanner.adjacent_bound(i[keep], cap) <= limit]
+        limit = min(limit, evaluate(i[keep], k_hi[keep]))
+        k_hi = k_hi - adjacent
+        keep = k_hi >= k_lo
+        i, k_lo, k_hi = i[keep], k_lo[keep], k_hi[keep]
+    if i.size == 0 or (_sweep_is_cheap(scanner, limit) and scanner.curve.is_embedded(limit)):
+        return
 
     a_lo, a_hi, va0, va1 = scanner.a_edge(i)
     a_mid, a_half = 0.5 * (va0 + va1), 0.5 * (a_hi - a_lo)
@@ -417,7 +537,7 @@ def _pruned_scan(scanner: _RunScanner, i, k_lo, k_hi, cap: float, evaluate) -> N
             start = np.maximum(c_r * _CHUNK, k_lo[r])
             for q, k in _ragged(start, np.minimum(c_r * _CHUNK + _CHUNK - 1, k_hi[r]) - start + 1):
                 keep = near(a_mid, a_half, r[q], b_mid, b_half, k)
-                limit = min(limit, evaluate(i[r[q][keep]], k[keep]) + slack)
+                limit = min(limit, evaluate(i[r[q][keep]], k[keep]))
 
 
 def pi_distance(curve: PolyCurve, mode: str = "capped", cap: Optional[float] = None,

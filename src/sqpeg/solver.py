@@ -292,17 +292,10 @@ def refine(curve: PolyCurve, seed, config: Optional[SolverConfig] = None):
     seed = np.asarray(seed, dtype=float)
     if seed.shape != (4,) or not np.isfinite(seed).all():
         raise ValueError("seed must be four finite arclength values")
-    unit, e = _unit_copy(curve)
+    unit, e = curve._unit
     cfg = (config or SolverConfig()).resolved(unit)
     params, reasons = _refine_batch(unit, np.ldexp(seed[None], -e), cfg)
     return (np.ldexp(params[0], e) if reasons[0] == "converged" else None), str(reasons[0])
-
-
-def _unit_copy(curve: PolyCurve):
-    """(curve scaled by 2^-e, e) with e = frexp(L)[1]: an exact copy of length
-    in [1/2, 1), where no squared or cubed length overflows or underflows."""
-    e = math.frexp(curve.length)[1]
-    return PolyCurve(np.ldexp(curve.vertices, -e), closed=curve.closed), e
 
 
 def _judge(curve: PolyCurve, t: np.ndarray, cfg: SolverConfig):
@@ -556,7 +549,7 @@ def find_quads(curve: PolyCurve, config: Optional[SolverConfig] = None) -> Solut
     solutions are measured at that scale too (_solution_set).
     """
     _check_closed("find_quads", curve)
-    unit, e = _unit_copy(curve)
+    unit, e = curve._unit
     cfg = (config or SolverConfig()).resolved(unit)
     if not curve.is_embedded(0.0):
         warnings.warn("curve is not embedded; results are best-effort")

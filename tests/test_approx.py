@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -633,6 +633,43 @@ def test_frechet_dominates_vertex_hausdorff():
     a = make_circle(1.0, 24)
     b = make_ellipse(1.5, 1.0, 24)
     assert discrete_frechet(a, b) >= _vertex_hausdorff(a, b) - 1e-12
+
+
+def _frechet_scale_pairs():
+    """Closed pairs of unequal and of equal size, one of a curve with itself,
+    and an open pair."""
+    rng = np.random.default_rng(59)
+    ellipse = make_ellipse(2.0, 1.0, 64)
+    chain = rng.normal(size=(30, 3))
+    return [
+        (ellipse, make_random_jordan(48, seed=9)),
+        (ellipse, PolyCurve(ellipse.vertices @ random_rotation(2, rng).T + 0.5, closed=True)),
+        (ellipse, ellipse),
+        (PolyCurve(chain, closed=False), PolyCurve(chain[::-1] + 0.1, closed=False)),
+    ]
+
+
+_FRECHET_SCALE_PAIRS = _frechet_scale_pairs()
+
+
+@given(st.integers(-500, 500))
+@example(-500)
+@example(500)
+def test_discrete_frechet_scales_to_the_bit_under_powers_of_two(k):
+    # a RuntimeWarning is an error in this suite
+    for a, b in _FRECHET_SCALE_PAIRS:
+        scaled = [PolyCurve(np.ldexp(c.vertices, k), closed=c.closed) for c in (a, b)]
+        assert discrete_frechet(*scaled) == math.ldexp(discrete_frechet(a, b), k)
+
+
+def test_discrete_frechet_of_the_largest_ellipse():
+    big = make_ellipse(2.7e154, 1.35e154, 64)
+    assert discrete_frechet(big, big) == 0.0
+    shifted = PolyCurve(np.roll(big.vertices, 5, axis=0), closed=True)
+    assert discrete_frechet(big, shifted) == 0.0
+    half = PolyCurve(big.vertices * 0.5, closed=True)
+    ref = discrete_frechet(make_ellipse(2.0, 1.0, 64), make_ellipse(1.0, 0.5, 64))
+    assert math.isclose(discrete_frechet(big, half) / 1.35e154, ref, rel_tol=1e-12)
 
 
 def test_frechet_rejects_mixed_topology():

@@ -186,6 +186,18 @@ def test_find_reports_no_residual_above_its_tol(tmp_path):
     assert all(s["residual"] <= 1e-4 for s in data["solutions"])
 
 
+@pytest.mark.parametrize("key, value", [("closed", "false"), ("closed", None),
+                                        ("dimension", None), ("dimension", [2]),
+                                        ("dimension", 2.5)])
+def test_analyze_refuses_a_curve_file_of_the_wrong_types(tmp_path, capsys, key, value):
+    data = {"dimension": 2, "closed": True, "vertices": [[0, 0], [4, 0], [0, 3.0]]}
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({**data, key: value}))
+    assert run(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sqpeg: error: ") and f"'{key}'" in err and "Traceback" not in err
+
+
 def test_find_open_curve_rejected(tmp_path, capsys):
     src = tmp_path / "open.json"
     src.write_text(json.dumps({

@@ -1,5 +1,6 @@
 """Tests for the polygonal-curve primitives."""
 
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -115,6 +116,50 @@ def test_json_schema_errors():
     with pytest.raises(ValueError, match="dimension"):
         PolyCurve.from_json_dict({"dimension": 3, "closed": True,
                                   "vertices": [[0, 0], [1, 0], [0, 1]]})
+
+
+_TRIANGLE_JSON = {"dimension": 2, "closed": True, "vertices": [[0, 0], [4, 0], [0, 3.0]]}
+
+
+def _with(**changes):
+    return {**_TRIANGLE_JSON, **changes}
+
+
+def test_json_closed_must_be_a_bool_not_the_string_false():
+    with pytest.raises(ValueError, match="'closed' must be true or false"):
+        PolyCurve.from_json_dict(_with(closed="false"))
+
+
+def test_json_closed_must_be_a_bool_not_null():
+    with pytest.raises(ValueError, match="'closed' must be true or false"):
+        PolyCurve.from_json_dict(_with(closed=None))
+
+
+def test_json_dimension_must_be_an_integer_not_null():
+    with pytest.raises(ValueError, match="'dimension' must be an integer"):
+        PolyCurve.from_json_dict(_with(dimension=None))
+
+
+def test_json_dimension_must_be_an_integer_not_a_list():
+    with pytest.raises(ValueError, match="'dimension' must be an integer"):
+        PolyCurve.from_json_dict(_with(dimension=[2]))
+
+
+def test_json_dimension_must_be_an_integer_not_a_fraction():
+    with pytest.raises(ValueError, match="'dimension' must be an integer"):
+        PolyCurve.from_json_dict(_with(dimension=2.5))
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_json_vertices_refuse_true_and_false(flag):
+    with pytest.raises(ValueError, match="'vertices' must be a list of rows of numbers"):
+        PolyCurve.from_json_dict(_with(vertices=[[0, 0], [4, flag], [0, 3.0]]))
+
+
+def test_json_checks_keep_the_curves_the_library_writes():
+    for curve in (make_unit_square(), PolyCurve([[0, 0, 0], [3, 4, 0]], closed=False)):
+        back = PolyCurve.from_json_dict(json.loads(json.dumps(curve.to_json_dict())))
+        assert np.array_equal(back.vertices, curve.vertices) and back.closed == curve.closed
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +650,69 @@ def test_is_embedded_memory_bounded(curve, clearance, expected):
         tracemalloc.stop()
     assert result is expected
     assert peak < 64 * 2**20
+
+
+def _clearance_curves():
+    """Embedded and crossing, planar and space, open and closed curves, one
+    already of length in [1/2, 1) (measured on itself) and one at 2^-400."""
+    rng = np.random.default_rng(47)
+    return {
+        "jordan96": make_random_jordan(96, seed=5),
+        "comb": _comb(30),
+        "unit_square": PolyCurve(make_unit_square().vertices * 0.1875, closed=True),
+        "tiny_jordan": PolyCurve(np.ldexp(make_random_jordan(64, seed=6).vertices, -400), True),
+        "crossing": PolyCurve(rng.normal(size=(24, 2)), closed=True),
+        "space": PolyCurve(rng.normal(size=(24, 3)), closed=True),
+        "chain": PolyCurve(rng.normal(size=(24, 3)), closed=False),
+    }
+
+
+def _fresh(curve):
+    return PolyCurve(curve.vertices, closed=curve.closed)
+
+
+def _turning_clearance(curve):
+    """The largest clearance at which fresh calls find the curve embedded,
+    by bisection on the floats, or None if it is not embedded at 0."""
+    if not _fresh(curve).is_embedded(0.0):
+        return None
+    lo, hi = 0.0, curve.length
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        mid = mid if lo < mid < hi else np.nextafter(lo, hi)
+        lo, hi = (mid, hi) if _fresh(curve).is_embedded(mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("name", sorted(_clearance_curves()))
+def test_remembered_embeddedness_answers_as_fresh_calls(name):
+    curve = _clearance_curves()[name]
+    L = curve.length
+    clearances = [0.0, *(L * np.geomspace(1e-9, 2.0, 12)), 1e300]
+    turn = _turning_clearance(curve)
+    if turn is not None:
+        clearances += [np.nextafter(turn, 0.0), turn, np.nextafter(turn, np.inf), 2.0 * turn]
+    clearances = sorted(set(clearances))
+    fresh = {c: _fresh(curve).is_embedded(c) for c in clearances}
+    assert fresh[0.0] == (turn is not None)
+    for order in (clearances, clearances[::-1], clearances[::2] + clearances[1::2]):
+        kept = _fresh(curve)
+        assert [kept.is_embedded(c) for c in order] == [fresh[c] for c in order], order
+
+
+def test_remembered_clearance_spares_the_report_sweep(monkeypatch):
+    # the literal scan's sweep proves the curve embedded at its bar, so the
+    # clearance-0 answer an analyze report asks for needs no second sweep
+    from sqpeg.pidist import pi_distance
+
+    curve = make_random_jordan(1024, seed=7)
+    sweeps = []
+    measure = PolyCurve._measure_clearance
+    monkeypatch.setattr(PolyCurve, "_measure_clearance",
+                        lambda self, c: sweeps.append(c) or measure(self, c))
+    pi_distance(curve, "literal", step=curve.length / 11520)
+    assert len(sweeps) == 1 and sweeps[0] > 0.0
+    assert curve.is_embedded(0.0) and curve.is_embedded() and len(sweeps) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Tests for the pi-distance machinery."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import random_rotation, random_star_polygon
@@ -25,6 +27,7 @@ from sqpeg.generators import (
 )
 from sqpeg.pidist import (
     _PI_SLACK,
+    CurvatureWindow,
     PiDistanceResult,
     _enumerate_best,
     _RunScanner,
@@ -446,6 +449,14 @@ def test_adjacent_bound_never_exceeds_the_chord():
             bound = scanner.adjacent_bound(i, cap)
             # the slack is the one the pruned scan adds to its bar
             assert np.all(bound <= chord + 1e-12 * L), (name, cap)
+            # run_bound on the runs the bounded first stage takes: each
+            # corner's first and last run, and the single-edge run
+            live = scanner.k_lo >= 0
+            k_hi = scanner.k_last_under_cap(i, cap)
+            for k in (scanner.k_lo, k_hi, i + scanner.n - 1, i + scanner.n - 2):
+                chord, _, _ = scanner.chord_min(i[live], k[live], cap)
+                bound = scanner.run_bound(i[live], k[live], cap)
+                assert np.all(bound <= chord + 1e-12 * L), (name, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -583,6 +594,134 @@ def test_direct_and_pruned_scans_agree(case):
             m.setattr(pidist, "_DIRECT_RUNS", direct)
             results.append(pi_distance(curve, mode, cap=cap))
     assert results[0] == results[1]
+
+
+# ---------------------------------------------------------------------------
+# the bounded first stage, the clearance sweep and the shared scanner
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _bounded_case(draw):
+    """A seeded closed or open, planar or space, star-shaped or self-crossing
+    polygon, a mode, and the step that sets the wrap margin."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["star", "crossing", "chain"]))
+    if kind == "star":
+        curve = random_star_polygon(rng, 4, 40, z_jitter=0.3 if dim == 3 else 0.0)
+    else:
+        curve = PolyCurve(rng.normal(size=(int(rng.integers(4, 40)), dim)), kind == "crossing")
+    return curve, draw(st.sampled_from(["literal", "capped"])), draw(st.sampled_from([720, 11520]))
+
+
+@given(_bounded_case())
+def test_bounded_scan_matches_the_row_level_reference(case):
+    # every run set goes through the pruned scan; its clearance sweep runs
+    # at any bar, at none, and where its gate lets it
+    curve, mode, divisions = case
+    L = curve.length
+    top = L - L / divisions if curve.closed else L
+    caps = [top] if mode == "literal" else [min(c, top) for c in (0.3 * L, 0.5 * L, 0.75 * L)]
+    for cap in caps:
+        ref = reference_enumerate_best(curve, cap)
+        for gate in (lambda scanner, limit: True, lambda scanner, limit: False, None):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(pidist, "_DIRECT_RUNS", 0)
+                if gate is not None:
+                    m.setattr(pidist, "_sweep_is_cheap", gate)
+                ours = _enumerate_best(PolyCurve(curve.vertices, curve.closed), cap)
+            assert ours == ref, (cap, gate)
+
+
+def test_literal_scan_evaluates_a_few_runs_on_the_measure_curves(monkeypatch):
+    rows = []
+    chord_min = _RunScanner.chord_min
+
+    def counting(self, i, k, cap):
+        out = chord_min(self, i, k, cap)
+        rows.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(_RunScanner, "chord_min", counting)
+    curves = _measure_curves()
+    for name in ("jordan1024", "jordan2048", "fourier3d"):
+        curve = curves[name]
+        rows.clear()
+        pi_distance(curve, "literal", step=curve.length / 11520)
+        assert sum(rows) <= 4, (name, rows)
+
+
+def reference_windows(curve, cap):
+    """scan_windows on a scanner of the curve's own: every corner's minimal
+    run, evaluated in one call."""
+    scanner = _RunScanner(curve)
+    i = np.arange(scanner.n)
+    k = scanner.k_first(i)
+    i, k = i[k >= 0], k[k >= 0]
+    chord, a_raw, b_raw = scanner.chord_min(i, k, cap)
+    ok = np.isfinite(chord)
+    return scanner.finalize(a_raw[ok], b_raw[ok], i[ok], k[ok], cap)
+
+
+def test_scan_windows_same_from_the_shared_scanner_as_from_a_fresh_one():
+    rng = np.random.default_rng(53)
+    curves = dict(_measure_curves())
+    curves["ellipse64"] = make_ellipse(2.0, 1.0, 64)
+    curves["chain"] = PolyCurve(rng.normal(size=(30, 3)), closed=False)
+    for name, curve in curves.items():
+        L = curve.length
+        step = max(L / 11520, float(np.max(curve._edge_lens)) / 2048)
+        for cap in (None, 0.3 * L, 0.5 * L, L - step):
+            shared = PolyCurve(curve.vertices, curve.closed)
+            # the scans of an analyze first, at its two caps
+            pi_distance(shared, "literal", step=step)
+            pi_distance(shared, "capped", cap=cap, step=step)
+            windows = scan_windows(shared, cap)
+            assert windows == scan_windows(PolyCurve(curve.vertices, curve.closed), cap), (name, cap)
+            assert windows == reference_windows(curve, L / 2 if cap is None else cap), (name, cap)
+
+
+def test_the_cached_scanner_does_not_keep_its_curve_alive():
+    # one curve is its own unit copy (length in [1/2, 1)), one is not
+    gc.disable()
+    try:
+        for scale in (0.1875, 1.0):
+            curve = PolyCurve(make_unit_square().vertices * scale, closed=True)
+            pi_distance(curve, "literal")
+            scan_windows(curve)
+            ref = weakref.ref(curve)
+            del curve
+            assert ref() is None, scale
+    finally:
+        gc.enable()
+
+
+_ELLIPSE64 = make_ellipse(2.0, 1.0, 64)
+
+
+def _scaled_window(w, k):
+    return CurvatureWindow(math.ldexp(w.a, k), math.ldexp(w.b, k), w.kappa,
+                           math.ldexp(w.chord, k), math.ldexp(w.arclen, k))
+
+
+@given(st.integers(-500, 500))
+@example(-500)
+@example(500)
+@example(512)
+def test_scans_scale_to_the_bit_under_powers_of_two(k):
+    # a RuntimeWarning is an error in this suite
+    scaled = PolyCurve(np.ldexp(_ELLIPSE64.vertices, k), closed=True)
+    for mode in ("literal", "capped"):
+        ours, ref = pi_distance(scaled, mode), pi_distance(_ELLIPSE64, mode)
+        assert ours.value == math.ldexp(ref.value, k), mode
+        assert ours.witness == _scaled_window(ref.witness, k), mode
+    assert scan_windows(scaled) == [_scaled_window(w, k) for w in scan_windows(_ELLIPSE64)]
+
+
+def test_capped_scan_of_the_largest_ellipse_is_a_number():
+    big = make_ellipse(2.7e154, 1.35e154, 64)
+    ref = pi_distance(make_ellipse(2.0, 1.0, 64), "capped").value
+    assert math.isclose(pi_distance(big, "capped").value / 1.35e154, ref, rel_tol=1e-12)
 
 
 _DENSE = {
