@@ -26,6 +26,7 @@ from .solver import (
     SolverConfig,
     brute_force_oracle,
     find_quads,
+    find_quads_many,
     parity_report,
     refine,
     seed_grid,
@@ -58,6 +59,7 @@ __all__ = [
     "seed_grid",
     "refine",
     "find_quads",
+    "find_quads_many",
     "brute_force_oracle",
     "parity_report",
 ]

@@ -26,7 +26,7 @@ from .approx import convergence_report, discrete_frechet, fillet_smooth, inscrib
     verify_length_bound
 from .curve import PolyCurve
 from .pidist import pi_distance, scan_windows
-from .solver import SolverConfig, find_quads
+from .solver import SolverConfig, find_quads, find_quads_many
 
 __all__ = ["main"]
 
@@ -229,15 +229,19 @@ def _cmd_converge(args) -> int:
     # every N is inscribed first, so a refused N costs no other row's work
     inscribed = [inscribe_polygon(curve, n) for n in n_list]
 
-    rows = []
+    approxes, reports = [], []
     for n, approx in zip(n_list, inscribed):
         if args.fillet_radius is not None:
             smooth = fillet_smooth(approx, args.fillet_radius)
             step = args.resample_step if args.resample_step is not None \
                 else smooth.length() / max(4 * n, 64)
             approx = smooth.sample(step)
-        rep = convergence_report(curve, approx, index=n, **_given(args, "dyadic_depth"))
-        solset = find_quads(approx, cfg)
+        approxes.append(approx)
+        reports.append(convergence_report(curve, approx, index=n, **_given(args, "dyadic_depth")))
+    solsets = find_quads_many(approxes, cfg)
+
+    rows = []
+    for n, approx, rep, solset in zip(n_list, approxes, reports, solsets):
         if solset.solutions:
             min_side = min(float(np.mean(s.sides)) for s in solset.solutions)
         else:

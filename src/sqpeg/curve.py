@@ -142,6 +142,18 @@ def _ragged(starts, counts, block: int = 1 << 16):
         yield row, starts[row] + flat - (ends[row] - counts[row])
 
 
+def _points_on_edges(start, vecs, cum_len, lens, idx, s):
+    """Points at the arclengths s (k,) on the edges idx (k,) of the rows
+    start vertex, edge vector, arclength at the start and edge length; a
+    parameter at an edge's start gives its start vertex exactly."""
+    frac = (s - cum_len.take(idx)) / lens.take(idx)
+    pts = start.take(idx, axis=0) + frac[:, None] * vecs.take(idx, axis=0)
+    exact = frac == 0.0
+    if exact.any():
+        pts[exact] = start[idx[exact]]
+    return pts
+
+
 def _orientation(p, q, r):
     """Exact signs of the cross products (q - p) x (r - p) of 2-D point
     rows: the float sign where it clears Shewchuk's orient2d error bound,
@@ -279,17 +291,12 @@ class PolyCurve:
         s = self.normalize_param(s)
         idx = np.searchsorted(self._knots, s, side="right") - 1
         idx = np.minimum(np.maximum(idx, 0), self.num_edges - 1)
-        local = s - self.cum_len.take(idx)
-        frac = local / self._edge_lens.take(idx)
-        pts = self.vertices.take(idx, axis=0) + frac[:, None] * self._edge_vecs.take(idx, axis=0)
+        pts = _points_on_edges(self.vertices, self._edge_vecs, self.cum_len, self._edge_lens, idx, s)
         if not self.closed:
             # exact hit of the far endpoint
             at_end = s == self.length
             if at_end.any():
                 pts[at_end] = self.vertices[-1]
-        exact = frac == 0.0
-        if exact.any():
-            pts[exact] = self.vertices[idx[exact]]
         return idx, pts
 
     def arc_length(self, a, b):

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .curve import PolyCurve, _check_positive, _cyclic_gaps, _winds_once
+from .curve import PolyCurve, _check_positive, _cyclic_gaps, _points_on_edges, _winds_once
 from .pidist import verify_quad_arc_curvature
 from .quad import (_HEAD, _MINUS, _PLUS, _TAIL, _measure_at, _norms, _residual_jacobian,
                    _sides_and_residuals, _smooth_norms)
@@ -31,6 +31,7 @@ __all__ = [
     "seed_grid",
     "refine",
     "find_quads",
+    "find_quads_many",
     "brute_force_oracle",
     "parity_report",
 ]
@@ -147,10 +148,71 @@ class SolutionSet:
 # residual evaluation
 # ---------------------------------------------------------------------------
 
-def _eval_cells(curve: PolyCurve, params):
+class _Stack:
+    """Closed curves of one dimension whose seeds are refined in one batch,
+    each at its own resolved config; max_iter and residual_tol, which they
+    share, are taken from the first.  A batch's rows are grouped by curve in
+    curve order, and owner (k,) names the curve of each row.  The curves'
+    edge tables lie end to end, each closed by a copy of its edge 0 that
+    starts at arclength L, so that only the edge search runs per curve, on
+    its rows' slice (_locate).  A stack of one curve has owner None and reads
+    the curve's own tables: `cells`, what _eval_cells is given, is the curve
+    itself, else the stack."""
+
+    def __init__(self, curves: list, cfgs: list, counts=None):
+        """counts: the number of seed rows of each curve, for several curves."""
+        self.curves, self.cfg = curves, cfgs[0]
+        self.dimension = curves[0].dimension
+        if len(curves) == 1:
+            L, cfg = curves[0].length, cfgs[0]
+            self.owner, self.cells = None, curves[0]
+            self._one = (None, L, L, cfg.gap_min, cfg.min_side)
+            return
+        self.owner, self.cells = np.repeat(np.arange(len(curves)), counts), self
+        self._scales = np.array([(c.length, r.gap_min, r.min_side) for c, r in zip(curves, cfgs)]).T
+        self._ids = np.arange(len(curves) + 1)
+        # the row before each curve's edge 0, where a search result of 1 points
+        self._before = np.cumsum([-1] + [curve.num_edges + 1 for curve in curves[:-1]])
+
+        def closed(rows):  # a curve's edge rows, then edge 0's again
+            return np.concatenate((rows, rows[:1]))
+
+        self._edge_table = (np.concatenate([closed(c.vertices) for c in curves]),
+                            np.concatenate([closed(c._edge_vecs) for c in curves]),
+                            np.concatenate([c._knots for c in curves]),
+                            np.concatenate([closed(c._edge_lens) for c in curves]))
+        self._edge_tangents = np.concatenate([closed(c._edge_tangents) for c in curves])
+
+    def rows(self, seeds=None):
+        """(owner, L as a column, L, gap_min, min_side) of the seed rows
+        `seeds` (default all, in order): None and the curve's floats for one
+        curve, else arrays of shape (k,), the column (k, 1)."""
+        if self.owner is None:
+            return self._one
+        owner = self.owner if seeds is None else self.owner.take(seeds)
+        L, gap_min, min_side = self._scales.take(owner, axis=1)
+        return owner, L[:, None], L, gap_min, min_side
+
+    def _locate(self, s, owner):
+        """(index into the stacked edge tables, point) of the parameters s
+        (4k,) in [0, L], the rows of owner (k,) flattened, at the points each
+        curve's _locate gives them, on edges with the same tangents.  np.mod
+        can round up to L, which _locate takes to 0; here L finds the copy of
+        edge 0 that starts there, and so vertex 0 again."""
+        bounds = 4 * np.searchsorted(owner, self._ids)
+        idx = np.empty(s.shape, dtype=np.intp)
+        for curve, before, lo, hi in zip(self.curves, self._before, bounds[:-1], bounds[1:]):
+            if lo < hi:
+                idx[lo:hi] = np.searchsorted(curve._knots, s[lo:hi], side="right") + before
+        return idx, _points_on_edges(*self._edge_table, idx, s)
+
+
+def _eval_cells(curve, params, owner=None):
     """params (k, 4) -> (chords (k, 6, n), residuals (k, 4), mean sides (k,),
-    unit tangents (k, 4, n) of the edges the points lie on, as _locate picks)."""
-    idx, pts = curve._locate(params.reshape(-1))
+    unit tangents (k, 4, n) of the edges the points lie on, as _locate picks),
+    on a PolyCurve or on the _Stack whose curve owner[j] row j lies on."""
+    flat = params.reshape(-1)
+    idx, pts = curve._locate(flat) if owner is None else curve._locate(flat, owner)
     shape = params.shape + (curve.dimension,)
     chords, _, _, res, mean_side = _sides_and_residuals(pts.reshape(shape))
     return chords, res, mean_side, curve._edge_tangents.take(idx, axis=0).reshape(shape)
@@ -298,19 +360,22 @@ def refine(curve: PolyCurve, seed, config: Optional[SolverConfig] = None):
     return (np.ldexp(params[0], e) if reasons[0] == "converged" else None), str(reasons[0])
 
 
-def _judge(curve: PolyCurve, t: np.ndarray, cfg: SolverConfig):
+def _judge(curve, t: np.ndarray, cfg: SolverConfig):
     """(params (k, 4) sorted ascending in [0, L), reasons (k,)) of the tuples
     t (k, 4): "converged" or the first rule broken of diverged (the sorted
     tuple's residual over residual_tol), ordering_broken (t does not wind
     once: else it sorts to a relabeling), collapsed (a gap of t under
-    gap_min) and small_side (mean side under min_side)."""
-    L = curve.length
-    params = np.sort(np.mod(t, L), axis=1)
-    res, ms = _eval_batch(curve, params)
-    gaps = _cyclic_gaps(t, L)
+    gap_min) and small_side (mean side under min_side).  curve is a
+    PolyCurve with cfg its resolved config, or a _Stack whose seed rows t
+    holds in order (cfg then gives residual_tol alone)."""
+    stack = curve if isinstance(curve, _Stack) else _Stack([curve], [cfg])
+    owner, Lc, L, gap_min, min_side = stack.rows()
+    params = np.sort(np.mod(t, Lc), axis=1)
+    res, ms = _eval_cells(stack.cells, params, owner)[1:3]
+    gaps = _cyclic_gaps(t, Lc)
     reasons = np.select(
         [_norms(res, ms) > cfg.residual_tol, ~_winds_once(gaps, L),
-         np.min(gaps, axis=1) < cfg.gap_min, ms < cfg.min_side],
+         np.min(gaps, axis=1) < gap_min, ms < min_side],
         ["diverged", "ordering_broken", "collapsed", "small_side"], "converged")
     return params, reasons
 
@@ -332,9 +397,15 @@ def _solve(damp: np.ndarray, rhs: np.ndarray):
         return delta, bad
 
 
-def _refine_batch(curve: PolyCurve, seeds: np.ndarray, cfg: SolverConfig):
+def _refine_batch(curve, seeds, cfg):
     """Refinement of many seeds at once: (params (K, 4), reasons (K,)) of
     _judge on the refined tuples, the outcomes refine() describes.
+
+    curve, seeds and cfg are one closed curve, its seeds (K, 4) and its
+    resolved config, or lists of them: closed curves of one dimension whose
+    configs share max_iter and residual_tol.  Their rows then run in one
+    lock step, grouped by curve (_Stack), and the result is one
+    (params, reasons) per curve.
 
     Every seed runs its own damped least-squares update (per-seed damping,
     acceptance and stopping) in lock step with the others; batching only
@@ -356,14 +427,26 @@ def _refine_batch(curve: PolyCurve, seeds: np.ndarray, cfg: SolverConfig):
     random Jordan curves and regular polygons at grid_m 8, 24 and 48 this
     stops no converging seed; at one iteration it would stop four.  Only
     live seeds are iterated, and a seed's iterate is written back as it stops.
+
+    A row's arithmetic is that of its own curve's L, gap_min and min_side,
+    whatever rows it runs beside, so each seed's outcome is the one it has
+    refined alone, to the bit.
     """
-    L = curve.length
+    many = isinstance(curve, list)
+    if many:
+        counts = [len(s) for s in seeds]
+        stack = _Stack(curve, cfg, counts)
+        seeds = np.concatenate(seeds)
+    else:
+        stack = _Stack([curve], [cfg])
+    cfg = stack.cfg
+    owner, Lc, L, gap_min, _ = stack.rows()
     target = 0.1 * cfg.residual_tol
 
-    t = np.mod(np.asarray(seeds, dtype=float), L)
+    t = np.mod(np.asarray(seeds, dtype=float), Lc)
     live = np.arange(t.shape[0])  # the seed of each live row
     x = t.copy()
-    chords, res, ms, tangents = _eval_cells(curve, x)
+    chords, res, ms, tangents = _eval_cells(stack.cells, x, owner)
     norm = _norms(res, ms)
     lam = np.full(live.size, 1e-3)
     streak = np.zeros(live.size, dtype=int)
@@ -376,6 +459,7 @@ def _refine_batch(curve: PolyCurve, seeds: np.ndarray, cfg: SolverConfig):
             rows = keep.nonzero()[0]
             live, x, chords, res, tangents, norm, lam, streak = (
                 a.take(rows, axis=0) for a in (live, x, chords, res, tangents, norm, lam, streak))
+            owner, Lc, L, gap_min, _ = stack.rows(live)
         if live.size == 0:
             break
         norm0 = norm  # norm is rebound below before any write in place
@@ -387,8 +471,8 @@ def _refine_batch(curve: PolyCurve, seeds: np.ndarray, cfg: SolverConfig):
 
         # rung 0 for every live seed on the live arrays, accepted by np.where
         delta, bad = _solve(jtj + lam[:, None, None] * (diag[:, :, None] * _EYE4), -g)
-        t_new = np.mod(x + delta, L)
-        chords_new, res_new, ms_new, tangents_new = _eval_cells(curve, t_new)
+        t_new = np.mod(x + delta, Lc)
+        chords_new, res_new, ms_new, tangents_new = _eval_cells(stack.cells, t_new, owner)
         norm_new = _norms(res_new, ms_new)
         hit = (norm_new < norm) & ~bad
         x, res = np.where(hit[:, None], t_new, x), np.where(hit[:, None], res_new, res)
@@ -405,11 +489,14 @@ def _refine_batch(curve: PolyCurve, seeds: np.ndarray, cfg: SolverConfig):
             ladder = np.concatenate((lam[p, None], np.full((p.size, 9), 10.0)), axis=1)
             ladder = ladder.cumprod(axis=1)[:, 1:]
             damp = jtj[p, None] + ladder[..., None, None] * (diag[p, None, :, None] * _EYE4)
-            delta, bad = _solve(damp.reshape(-1, 4, 4), -g[p].repeat(9, axis=0))
-            t_new = np.mod(x[p].repeat(9, axis=0) + delta, L)
-            chords_new, res_new, ms_new, tangents_new = _eval_cells(curve, t_new)
+            rep = p.repeat(9)
+            delta, bad = _solve(damp.reshape(-1, 4, 4), -g.take(rep, axis=0))
+            ladder_owner, ladder_Lc = ((None, Lc) if owner is None
+                                       else (owner.take(rep), Lc.take(rep, axis=0)))
+            t_new = np.mod(x.take(rep, axis=0) + delta, ladder_Lc)
+            chords_new, res_new, ms_new, tangents_new = _eval_cells(stack.cells, t_new, ladder_owner)
             norm_new = _norms(res_new, ms_new)
-            improved = ((norm_new < norm[p].repeat(9)) & ~bad).reshape(-1, 9)
+            improved = ((norm_new < norm.take(rep)) & ~bad).reshape(-1, 9)
             hit = improved.any(axis=1)
             first = improved[hit].argmax(axis=1)
             acc, pick = p[hit], hit.nonzero()[0] * 9 + first
@@ -420,14 +507,18 @@ def _refine_batch(curve: PolyCurve, seeds: np.ndarray, cfg: SolverConfig):
             accepted_step[acc] = np.abs(delta[pick]).max(axis=1)
             pending[acc] = False
 
-        gaps = _cyclic_gaps(x, L)
-        streak = np.where(~_winds_once(gaps, L) | (gaps.min(axis=1) < cfg.gap_min), streak + 1, 0)
+        gaps = _cyclic_gaps(x, Lc)
+        streak = np.where(~_winds_once(gaps, L) | (gaps.min(axis=1) < gap_min), streak + 1, 0)
         # no accepted trial or too small a reduction (inf-safe: no division) stalls; tiny steps stop
         stop = (pending | (accepted_step < 1e-15 * L) | (norm > math.sqrt(1.0 - _FTOL) * norm0)
                 | (streak >= _BROKEN_STREAK))
 
     t[live] = x
-    return _judge(curve, t, cfg)
+    params, reasons = _judge(stack, t, cfg)
+    if not many:
+        return params, reasons
+    cuts = np.cumsum(counts)[:-1]
+    return list(zip(np.split(params, cuts), np.split(reasons, cuts)))
 
 
 # ---------------------------------------------------------------------------
@@ -549,26 +640,60 @@ def find_quads(curve: PolyCurve, config: Optional[SolverConfig] = None) -> Solut
     solutions are measured at that scale too (_solution_set).
     """
     _check_closed("find_quads", curve)
-    unit, e = curve._unit
-    cfg = (config or SolverConfig()).resolved(unit)
-    if not curve.is_embedded(0.0):
-        warnings.warn("curve is not embedded; results are best-effort")
+    return _search([curve], config)[0]
 
-    params, reasons = _refine_batch(unit, seed_grid(unit, cfg), cfg)
-    accepted = _snap_to_grid(unit, params[reasons == "converged"], cfg)
 
-    # greedy classes in (t1, t2, t3, t4) order; the first member represents each
-    accepted = accepted[np.lexsort(accepted.T[::-1])]
-    reps = accepted[_greedy_classes(accepted, unit.length, cfg.dedup_tol)]
-    if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("find_quads: %d seeds, refine outcomes %s, raw_count %d, %d classes", len(reasons),
-                   dict(sorted(Counter(reasons.tolist()).items())), len(accepted), len(reps))
-    dedup_tol = math.ldexp(cfg.dedup_tol, e)
-    return _solution_set(curve, np.ldexp(reps, e), len(accepted), "", dedup_tol, {
-        "grid_m": cfg.grid_m,
-        "dedup_tol": dedup_tol,
-        "residual_tol": cfg.residual_tol,
-    })
+def find_quads_many(curves, config: Optional[SolverConfig] = None) -> list:
+    """find_quads of each curve, in order, with the seeds of all of them
+    refined in one batch: the same solution sets, to the bit, as
+    [find_quads(c, config) for c in curves], at one batch's array overhead
+    per refinement step instead of one per curve.
+
+    The curves must be closed and of one dimension; seeding, snapping,
+    dedup, annotation and the not-embedded warning are per curve, each at
+    its own power-of-two scale.
+    """
+    curves = list(curves)
+    for curve in curves:
+        _check_closed("find_quads_many", curve)
+    dimensions = sorted({curve.dimension for curve in curves})
+    if len(dimensions) > 1:
+        raise ValueError(f"find_quads_many requires curves of one dimension, got {dimensions}")
+    return _search(curves, config) if curves else []
+
+
+def _search(curves: list, config: Optional[SolverConfig]) -> list:
+    """The solution sets of find_quads on the closed curves, at least one.
+    Several curves are refined in one batch; a lone curve takes
+    _refine_batch's one-curve form."""
+    units, exponents = zip(*(curve._unit for curve in curves))
+    cfgs = [(config or SolverConfig()).resolved(unit) for unit in units]
+    for curve in curves:
+        if not curve.is_embedded(0.0):
+            warnings.warn("curve is not embedded; results are best-effort")
+    seeds = [seed_grid(unit, cfg) for unit, cfg in zip(units, cfgs)]
+    if len(curves) == 1:
+        refined = [_refine_batch(units[0], seeds[0], cfgs[0])]
+    else:
+        refined = _refine_batch(list(units), seeds, cfgs)
+
+    out = []
+    for curve, unit, e, cfg, (params, reasons) in zip(curves, units, exponents, cfgs, refined):
+        accepted = _snap_to_grid(unit, params[reasons == "converged"], cfg)
+        # greedy classes in (t1, t2, t3, t4) order; the first member represents each
+        accepted = accepted[np.lexsort(accepted.T[::-1])]
+        reps = accepted[_greedy_classes(accepted, unit.length, cfg.dedup_tol)]
+        if _log.isEnabledFor(logging.DEBUG):
+            _log.debug("find_quads: %d seeds, refine outcomes %s, raw_count %d, %d classes",
+                       len(reasons), dict(sorted(Counter(reasons.tolist()).items())),
+                       len(accepted), len(reps))
+        dedup_tol = math.ldexp(cfg.dedup_tol, e)
+        out.append(_solution_set(curve, np.ldexp(reps, e), len(accepted), "", dedup_tol, {
+            "grid_m": cfg.grid_m,
+            "dedup_tol": dedup_tol,
+            "residual_tol": cfg.residual_tol,
+        }))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -382,6 +382,33 @@ def test_converge_refuses_every_n_before_any_row(circle_file, capsys, monkeypatc
     assert "not 100000000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [[], ["--fillet-radius", "0.05"]])
+def test_converge_rows_do_not_depend_on_the_batch(tmp_path, flags):
+    # every approximant is searched in one batch; each row is the one its N
+    # gives alone, to the byte
+    src = tmp_path / "j.json"
+    assert run(["--seed", "11", "--out", str(src), "generate", "random_jordan",
+                "--samples", "256", "--amplitude", "1.0", "--harmonics", "6"]) == 0
+
+    def rows(n_list):
+        out = tmp_path / "conv.csv"
+        assert run(["--out", str(out), "converge", str(src), "--n-list", n_list,
+                    "--grid-m", "8", *flags]) == 0
+        return out.read_text().splitlines()[1:]
+
+    together = rows("8,16,32,64")
+    assert together == [row for n in ("8", "16", "32", "64") for row in rows(n)]
+    assert all(row.split(",")[4] != "nan" for row in together)
+
+
+def test_converge_refuses_every_n_before_any_search(circle_file, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("sqpeg.cli.find_quads_many", lambda *args: calls.append(args))
+    assert run(["converge", circle_file, "--n-list", "64,100000000", "--grid-m", "24"]) == 1
+    assert calls == []
+    assert "not 100000000" in capsys.readouterr().err
+
+
 def test_converge_rejects_bad_n_list(tmp_path, circle_file, capsys):
     assert run(["--out", str(tmp_path / "x.csv"), "converge", circle_file,
                 "--n-list", "16,8"]) == 1

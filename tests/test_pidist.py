@@ -633,6 +633,44 @@ def test_bounded_scan_matches_the_row_level_reference(case):
             assert ours == ref, (cap, gate)
 
 
+def _spiked_ellipse():
+    """(curve, corner): a 240-gon ellipse with semi-axes 1.5 and 1, a V notch
+    at its vertex 80 and, in place of its vertex 0, a spike 0.3 long that
+    narrows to a tip 0.003 wide; the tip ends in a shallow dent, so the two
+    tip corners and the dent turn by more than pi.  corner is the first tip
+    corner, whose minimal run (corner, corner + 2) spans the tip."""
+    t = 2.0 * np.pi * np.arange(240) / 240
+    v = np.column_stack((1.5 * np.cos(t), np.sin(t)))
+    v[80] *= 1.0 - 0.1 / np.linalg.norm(v[80])
+    slope = (0.02 - 0.0015) / 0.3
+    side = [[1.5, -0.02], [1.7995, -(0.0015 + slope * 0.0005)], [1.8, -0.0015]]
+    spike = side + [[1.7995, 0.0]] + [[x, -y] for x, y in side[::-1]]
+    return PolyCurve(np.vstack((v[1:], spike)), closed=True), 241
+
+
+def test_a_minimal_run_alone_wins_the_literal_scan(monkeypatch):
+    # The regular polygons tie their winners with runs of later stages; here
+    # the minimal run across the spike's tip holds the least chord (0.003,
+    # the next run 0.00306) and nothing else reaches it.  The notch corner
+    # sets the first bar (0.00395), and the run's bound (0.00253) is above
+    # half of it, so the winner is found only where its corner's first run is
+    # tested against the whole bar.  The curve has 45,209 runs, past the
+    # direct path.
+    curve, corner = _spiked_ellipse()
+    L = curve.length
+    cap = L - L / 720
+    scanner = _RunScanner(curve)
+    runs = np.maximum(scanner.k_last_under_cap(np.arange(scanner.n), cap) - scanner.k_lo + 1, 1)
+    assert np.sum(runs[scanner.k_lo >= 0]) > pidist._DIRECT_RUNS
+    assert scanner.k_lo[corner] == corner + 2
+    ref = reference_enumerate_best(curve, cap)
+    # finalize moves the window's ends off the corners, by 1e-9 of an edge
+    assert abs(ref.chord - scanner.chord_min(corner, corner + 2, cap)[0][0]) <= 1e-12 * L
+    assert pi_distance(curve, "literal").witness == ref
+    monkeypatch.setattr(pidist, "_DIRECT_RUNS", 0)
+    assert pi_distance(PolyCurve(curve.vertices, closed=True), "literal").witness == ref
+
+
 def test_literal_scan_evaluates_a_few_runs_on_the_measure_curves(monkeypatch):
     rows = []
     chord_min = _RunScanner.chord_min

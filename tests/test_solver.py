@@ -781,6 +781,24 @@ def test_find_quads_logs_its_stage_counts(ellipse, ellipse_solutions, caplog):
     assert outcomes == {"converged": 10, "diverged": 30}
     assert sol.to_json_dict() == ellipse_solutions.to_json_dict()
 
+    # a batch logs the same line once per curve, in input order
+    jordan = make_random_jordan(96, seed=3)
+    lines = []
+    for curve in (jordan, ellipse):
+        unit = curve._unit[0]
+        cfg = SolverConfig().resolved(unit)
+        seeds = seed_grid(unit, cfg)
+        reasons = solver._refine_batch(unit, seeds, cfg)[1].tolist()
+        lines.append(f"find_quads: {len(seeds)} seeds, refine outcomes "
+                     f"{dict(sorted(Counter(reasons).items()))}")
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="sqpeg.solver"):
+        sols = solver.find_quads_many([jordan, ellipse])
+    assert [r.getMessage() for r in caplog.records if r.name == "sqpeg.solver"] == [
+        f"{line}, raw_count {s.raw_count}, {len(s.solutions)} classes"
+        for line, s in zip(lines, sols)]
+    assert sols[1].to_json_dict() == ellipse_solutions.to_json_dict()
+
 
 def test_solution_set_invariants(ellipse, ellipse_solutions):
     sol = ellipse_solutions
@@ -1203,6 +1221,124 @@ def test_solutions_are_measured_where_no_squared_chord_overflows(k):
         assert np.array_equal(s.diagonals, np.ldexp(b.diagonals, k))
         assert np.array_equal(s.residual, np.ldexp(b.residual, 2 * k))
         assert s.arc_kappa_ok
+
+
+# ---------------------------------------------------------------------------
+# several curves searched in one batch
+# ---------------------------------------------------------------------------
+
+def _random_space_curve(rng):
+    """A seeded random closed Fourier curve in R^3 of 48 to 96 vertices."""
+    cos, sin = rng.normal(scale=0.4, size=(2, 3, 3))
+    cos[0, 0] = sin[1, 0] = 1.0
+    return make_fourier_curve(cos.tolist(), sin.tolist(), samples=int(rng.integers(48, 97)))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.sampled_from([8, 16]))
+def test_refinement_rows_do_not_depend_on_their_batch(seed, dim, m):
+    # the invariant batching rests on: every row runs its own damping,
+    # acceptance and stopping, so a seed refined among any others, or beside
+    # another curve's seeds, ends where it ends alone, to the bit
+    from helpers import random_star_polygon
+
+    rng = np.random.default_rng(seed)
+    if dim == 2:
+        curve = make_random_jordan(int(rng.integers(32, 97)), seed=int(rng.integers(2**16)))
+    else:
+        curve = _random_space_curve(rng)
+    other = random_star_polygon(rng, 8, 60, z_jitter=0.3 if dim == 3 else 0.0)._unit[0]
+    unit = curve._unit[0]
+    cfg, other_cfg = (SolverConfig(grid_m=m).resolved(c) for c in (unit, other))
+    seeds = seed_grid(unit, cfg)
+    part = rng.random(len(seeds)) < 0.5
+    whole = solver._refine_batch(unit, seeds, cfg)
+    for params, reasons in (solver._refine_batch(unit, seeds[part], cfg),
+                            solver._refine_batch([other, unit],
+                                                 [seed_grid(other, other_cfg), seeds[part]],
+                                                 [other_cfg, cfg])[1]):
+        assert np.array_equal(params, whole[0][part]), seed
+        assert reasons.tolist() == whole[1][part].tolist(), seed
+
+
+def test_stacked_cells_equal_each_curves_own():
+    # parameters at vertices, inside edges, and at L itself, to which np.mod
+    # can round up: _locate takes L to 0, the stack to its copy of edge 0
+    rng = np.random.default_rng(67)
+    curves = [make_ellipse(2.0, 1.0, 40)._unit[0], make_random_jordan(64, seed=5)._unit[0],
+              PolyCurve(TRIANGLE, closed=True)._unit[0]]
+    params = []
+    for c in curves:
+        t = np.concatenate((c.cum_len, [c.length], rng.uniform(0.0, c.length, 23)))
+        params.append(rng.permutation(t)[: 4 * (len(t) // 4)].reshape(-1, 4))
+    cfgs = [SolverConfig().resolved(c) for c in curves]
+    stack = solver._Stack(curves, cfgs, [len(p) for p in params])
+    got = solver._eval_cells(stack, np.concatenate(params), stack.owner)
+    want = [solver._eval_cells(c, p) for c, p in zip(curves, params)]
+    for g, w in zip(got, zip(*want)):
+        assert np.array_equal(g, np.concatenate(w))
+
+
+def _assert_batch_equals_one_search_per_curve(curves, config=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        alone = [json.dumps(find_quads(c, config).to_json_dict()) for c in curves]
+        for batch in (curves, curves[::-1]):
+            got = [json.dumps(s.to_json_dict()) for s in solver.find_quads_many(batch, config)]
+            assert got == (alone if batch is curves else alone[::-1])
+
+
+def test_find_quads_many_equals_one_search_per_curve_on_the_gate_curves(corpus):
+    gate = _gate_curves(corpus)
+    planar = [c for c in gate.values() if c.dimension == 2]
+    rng = np.random.default_rng(61)
+    space = [gate["fourier3d"], _random_space_curve(rng), _random_space_curve(rng)]
+    for m in (8, 24):
+        _assert_batch_equals_one_search_per_curve(planar, SolverConfig(grid_m=m))
+        _assert_batch_equals_one_search_per_curve(space, SolverConfig(grid_m=m))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.integers(2, 4))
+def test_find_quads_many_equals_one_search_per_curve_on_random_curves(seed, dim, count):
+    rng = np.random.default_rng(seed)
+    if dim == 2:
+        curves = [make_random_jordan(int(rng.integers(32, 129)), seed=int(rng.integers(2**16)))
+                  for _ in range(count)]
+    else:
+        curves = [_random_space_curve(rng) for _ in range(count)]
+    _assert_batch_equals_one_search_per_curve(curves, SolverConfig(grid_m=8))
+
+
+def test_find_quads_many_mixes_scales():
+    # each curve runs at its own power-of-two unit scale, L from 2^-300 to 2^300
+    curves = [PolyCurve(np.ldexp(c.vertices, k), closed=True) for c, k in (
+        (make_ellipse(2.0, 1.0, 64), 300), (make_random_jordan(96, seed=3), -300),
+        (PolyCurve(TRIANGLE, closed=True), 0), (make_circle(1.0, 90), -299))]
+    _assert_batch_equals_one_search_per_curve(curves)
+
+
+def test_find_quads_many_refines_every_curve_in_one_batch(monkeypatch):
+    calls = []
+    real = solver._refine_batch
+
+    def recording(curve, seeds, cfg):
+        calls.append(len(curve) if isinstance(curve, list) else 1)
+        return real(curve, seeds, cfg)
+
+    monkeypatch.setattr(solver, "_refine_batch", recording)
+    solver.find_quads_many([make_ellipse(2.0, 1.0, 64), make_circle(1.0, 60),
+                            PolyCurve(TRIANGLE, closed=True)])
+    assert calls == [3]
+
+
+def test_find_quads_many_takes_closed_curves_of_one_dimension():
+    assert solver.find_quads_many([]) == []
+    ellipse = make_ellipse(2.0, 1.0, 64)
+    with pytest.raises(ValueError, match="find_quads_many requires a closed curve"):
+        solver.find_quads_many([ellipse, PolyCurve(ellipse.vertices, closed=False)])
+    with pytest.raises(ValueError, match=r"one dimension, got \[2, 3\]"):
+        solver.find_quads_many([ellipse, _fourier3d()])
+    with pytest.raises(ValueError, match="grid_m"):
+        solver.find_quads_many([ellipse], SolverConfig(grid_m=4))
 
 
 def test_config_validation():
